@@ -4,8 +4,7 @@
 //! live registry aggregating counters, histograms and the span profile,
 //! and (c) the raw baseline through options that never carried a handle.
 //! The design target is that (a) is indistinguishable from (c) — the
-//! cached-off fast path — and (b) stays within a few percent. Same
-//! methodology as `obs_overhead`.
+//! cached-off fast path — and (b) stays within a few percent.
 
 use std::sync::Arc;
 

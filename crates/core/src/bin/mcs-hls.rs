@@ -48,8 +48,7 @@ use mcs_cdfg::{format, timing, Cdfg, PortMode};
 use multichip_hls::explore::run_sweep;
 use multichip_hls::explore_engine::{FlowVariant, SweepOptions, SweepSpec};
 use multichip_hls::flows::{
-    connect_first_anytime, connect_first_flow_traced, schedule_first_flow_traced,
-    simple_flow_anytime, simple_flow_with, AnytimeOutcome, ConnectFirstOptions, SynthesisConfig,
+    synthesize, ConnectFirstOptions, FlowError, FlowSpec, Run, ScheduleFirstOptions, SimpleOptions,
     SynthesisResult,
 };
 use multichip_hls::metrics::{export as metrics_export, MetricsHandle, Registry};
@@ -60,7 +59,6 @@ use multichip_hls::report::{
     render_schedule, render_search_stats, render_trace_aggregates,
 };
 use multichip_hls::resynth::{self, resynth_flow_traced};
-use multichip_hls::sched::Schedule;
 use multichip_hls::sim::{verify, Semantics, Stimulus};
 
 struct Args {
@@ -335,13 +333,16 @@ fn load(path: &str) -> Result<mcs_cdfg::designs::Design, ExitCode> {
     })
 }
 
-fn synthesize(cdfg: &Cdfg, a: &Args) -> Result<SynthesisResult, ExitCode> {
-    synthesize_traced(
+/// Runs the selected flow untraced, unmetered and unbudgeted.
+fn synthesize_plain(cdfg: &Cdfg, a: &Args) -> Result<SynthesisResult, ExitCode> {
+    run_flow(
         cdfg,
         a,
         &RecorderHandle::default(),
         &MetricsHandle::default(),
-    )
+        None,
+    )?
+    .ok_or(ExitCode::FAILURE)
 }
 
 /// The metrics registry backing `--metrics-out` (and the `explain`
@@ -391,68 +392,73 @@ fn ctl_budget(a: &Args) -> Option<mcs_ctl::Budget> {
     Some(mcs_ctl::Budget::new(spec))
 }
 
-/// Runs the selected flow under `budget`. `Ok(Some(result))` is a full
-/// synthesis; `Ok(None)` means the budget tripped first — the anytime
-/// summary (verdict, best partial connection) has already been printed
-/// and the process should exit 0: an interruption is a successful
-/// interaction with the tool, not a synthesis failure.
-fn synthesize_anytime(
+/// Runs the selected flow, under `budget` when one is given.
+/// `Ok(Some(result))` is a full synthesis; `Ok(None)` means the budget
+/// tripped first — the anytime summary (verdict, best partial
+/// connection) has already been printed and the process should exit 0:
+/// an interruption is a successful interaction with the tool, not a
+/// synthesis failure.
+fn run_flow(
     cdfg: &Cdfg,
     a: &Args,
     recorder: &RecorderHandle,
     metrics: &MetricsHandle,
-    budget: mcs_ctl::Budget,
+    budget: Option<mcs_ctl::Budget>,
 ) -> Result<Option<SynthesisResult>, ExitCode> {
-    let out: AnytimeOutcome = match a.flow.as_str() {
-        "simple" => {
-            let config = SynthesisConfig {
-                pivot_budget: a.pivot_budget,
-                probe_differential: a.probe_differential,
+    let mode = if a.bidir {
+        PortMode::Bidirectional
+    } else {
+        PortMode::Unidirectional
+    };
+    let spec = match a.flow.as_str() {
+        "simple" => FlowSpec::Simple(SimpleOptions {
+            rate: a.rate,
+            pivot_budget: a.pivot_budget,
+            probe_differential: a.probe_differential,
+            budget,
+            metrics: metrics.clone(),
+        }),
+        "connect" => FlowSpec::ConnectFirst(ConnectFirstOptions {
+            mode,
+            sharing: a.sharing,
+            workers: a.workers,
+            portfolio: a.portfolio,
+            branching_factor: a.branching,
+            node_budget: a.budget,
+            budget,
+            metrics: metrics.clone(),
+            ..ConnectFirstOptions::new(a.rate)
+        }),
+        "schedule" => {
+            if budget.is_some() {
+                eprintln!(
+                    "note: the schedule flow has no interruption points; \
+                     --deadline-ms/--max-pivots/--max-nodes are ignored"
+                );
+            }
+            FlowSpec::ScheduleFirst(ScheduleFirstOptions {
+                rate: a.rate,
+                pipe_length: a.pipe,
+                mode,
                 budget: None,
                 metrics: metrics.clone(),
-            };
-            simple_flow_anytime(cdfg, a.rate, &config, budget, recorder)
-        }
-        "connect" => {
-            let mut opts = ConnectFirstOptions::new(a.rate);
-            opts.mode = if a.bidir {
-                PortMode::Bidirectional
-            } else {
-                PortMode::Unidirectional
-            };
-            opts.sharing = a.sharing;
-            opts.workers = a.workers;
-            opts.portfolio = a.portfolio;
-            opts.branching_factor = a.branching;
-            opts.node_budget = a.budget;
-            opts.metrics = metrics.clone();
-            connect_first_anytime(cdfg, &opts, budget, recorder)
-        }
-        "schedule" => {
-            eprintln!(
-                "note: the schedule flow has no interruption points; \
-                 --deadline-ms/--max-pivots/--max-nodes are ignored"
-            );
-            return synthesize_traced(cdfg, a, recorder, metrics).map(Some);
+            })
         }
         other => {
             eprintln!("unknown flow `{other}` (simple|connect|schedule)");
             return Err(ExitCode::from(2));
         }
     };
-    if let Some(e) = out.error {
-        eprintln!("synthesis failed: {e}");
-        return Err(ExitCode::FAILURE);
-    }
+    let out = synthesize(cdfg, &spec, &Run::traced(recorder));
     match out.result {
-        Some(r) => {
+        Ok(r) => {
             if out.termination != mcs_ctl::Termination::Complete {
                 eprintln!("note: degraded result ({})", out.termination);
             }
             Ok(Some(r))
         }
-        None => {
-            println!("synthesis interrupted ({})", out.termination);
+        Err(FlowError::Interrupted(t)) => {
+            println!("synthesis interrupted ({t})");
             println!(
                 "best-so-far: {} of {} transfers placed on {} buses",
                 out.best_depth,
@@ -467,65 +473,11 @@ fn synthesize_anytime(
             }
             Ok(None)
         }
+        Err(e) => {
+            eprintln!("synthesis failed: {e}");
+            Err(ExitCode::FAILURE)
+        }
     }
-}
-
-fn synthesize_traced(
-    cdfg: &Cdfg,
-    a: &Args,
-    recorder: &RecorderHandle,
-    metrics: &MetricsHandle,
-) -> Result<SynthesisResult, ExitCode> {
-    let mode = if a.bidir {
-        PortMode::Bidirectional
-    } else {
-        PortMode::Unidirectional
-    };
-    let result = match a.flow.as_str() {
-        "simple" => {
-            let config = SynthesisConfig {
-                pivot_budget: a.pivot_budget,
-                probe_differential: a.probe_differential,
-                budget: None,
-                metrics: metrics.clone(),
-            };
-            simple_flow_with(cdfg, a.rate, &config, recorder)
-        }
-        "connect" => {
-            let mut opts = ConnectFirstOptions::new(a.rate);
-            opts.mode = mode;
-            opts.sharing = a.sharing;
-            opts.workers = a.workers;
-            opts.portfolio = a.portfolio;
-            opts.branching_factor = a.branching;
-            opts.node_budget = a.budget;
-            opts.metrics = metrics.clone();
-            connect_first_flow_traced(cdfg, &opts, recorder)
-        }
-        "schedule" => {
-            let pipe = a.pipe.unwrap_or_else(|| {
-                timing::asap(cdfg)
-                    .map(|t| {
-                        Schedule {
-                            rate: a.rate,
-                            start: t.start,
-                        }
-                        .pipe_length(cdfg)
-                            + a.rate as i64
-                    })
-                    .unwrap_or(3 * a.rate as i64)
-            });
-            schedule_first_flow_traced(cdfg, a.rate, pipe, mode, recorder)
-        }
-        other => {
-            eprintln!("unknown flow `{other}` (simple|connect|schedule)");
-            return Err(ExitCode::from(2));
-        }
-    };
-    result.map_err(|e| {
-        eprintln!("synthesis failed: {e}");
-        ExitCode::FAILURE
-    })
 }
 
 /// Exports the recorded trace to `path` in the requested format and
@@ -608,30 +560,24 @@ fn main() -> ExitCode {
                 Some(r) => MetricsHandle::new(r.clone()),
                 None => MetricsHandle::default(),
             };
-            let r = match ctl_budget(&a) {
-                Some(budget) => match synthesize_anytime(cdfg, &a, &rec, &metrics, budget) {
-                    Ok(Some(r)) => r,
-                    Ok(None) => {
-                        // Interrupted: the anytime summary is printed;
-                        // flush the trace and metrics, exit cleanly.
-                        if let (Some(buf), Some(path)) = (&buf, &a.trace_out) {
-                            if let Err(code) = write_trace(buf, &a, path) {
-                                return code;
-                            }
+            let r = match run_flow(cdfg, &a, &rec, &metrics, ctl_budget(&a)) {
+                Ok(Some(r)) => r,
+                Ok(None) => {
+                    // Interrupted: the anytime summary is printed;
+                    // flush the trace and metrics, exit cleanly.
+                    if let (Some(buf), Some(path)) = (&buf, &a.trace_out) {
+                        if let Err(code) = write_trace(buf, &a, path) {
+                            return code;
                         }
-                        if let (Some(reg), Some(path)) = (&reg, &a.metrics_out) {
-                            if let Err(code) = write_metrics(reg, &a, path) {
-                                return code;
-                            }
-                        }
-                        return ExitCode::SUCCESS;
                     }
-                    Err(code) => return code,
-                },
-                None => match synthesize_traced(cdfg, &a, &rec, &metrics) {
-                    Ok(r) => r,
-                    Err(code) => return code,
-                },
+                    if let (Some(reg), Some(path)) = (&reg, &a.metrics_out) {
+                        if let Err(code) = write_metrics(reg, &a, path) {
+                            return code;
+                        }
+                    }
+                    return ExitCode::SUCCESS;
+                }
+                Err(code) => return code,
             };
             if let (Some(buf), Some(path)) = (&buf, &a.trace_out) {
                 if let Err(code) = write_trace(buf, &a, path) {
@@ -707,8 +653,9 @@ fn main() -> ExitCode {
             // part of the report, with or without --metrics-out.
             let reg = Arc::new(Registry::new());
             let metrics = MetricsHandle::new(reg.clone());
-            let r = match synthesize_traced(cdfg, &a, &rec, &metrics) {
-                Ok(r) => r,
+            let r = match run_flow(cdfg, &a, &rec, &metrics, None) {
+                Ok(Some(r)) => r,
+                Ok(None) => return ExitCode::FAILURE,
                 Err(code) => return code,
             };
             if let Some(path) = &a.trace_out {
@@ -854,7 +801,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "simulate" => {
-            let r = match synthesize(cdfg, &a) {
+            let r = match synthesize_plain(cdfg, &a) {
                 Ok(r) => r,
                 Err(code) => return code,
             };
@@ -885,7 +832,7 @@ fn main() -> ExitCode {
             }
         }
         "rtl" => {
-            let r = match synthesize(cdfg, &a) {
+            let r = match synthesize_plain(cdfg, &a) {
                 Ok(r) => r,
                 Err(code) => return code,
             };
@@ -895,7 +842,7 @@ fn main() -> ExitCode {
         }
         "dot" => {
             if a.buses {
-                let r = match synthesize(cdfg, &a) {
+                let r = match synthesize_plain(cdfg, &a) {
                     Ok(r) => r,
                     Err(code) => return code,
                 };

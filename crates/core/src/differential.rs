@@ -33,10 +33,9 @@ use mcs_postsyn::{verify_against_schedule, verify_against_schedule_with_budgets}
 use mcs_sim::{verify, Semantics, Stimulus, Violation};
 
 use crate::flows::{
-    connect_first_anytime, connect_first_flow, schedule_first_flow, simple_flow,
-    simple_flow_anytime, ConnectFirstOptions, FlowError, SynthesisConfig, SynthesisResult,
+    connect_first_flow, schedule_first_flow, simple_flow, synthesize, ConnectFirstOptions,
+    FlowError, FlowSpec, Run, SimpleOptions, SynthesisResult,
 };
-use mcs_obs::RecorderHandle;
 
 /// What one synthesis flow concluded about a design.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -337,13 +336,19 @@ pub struct AnytimeDifferential {
 /// with the unbudgeted verdict.
 pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
     let mut out = AnytimeDifferential::default();
-    let recorder = RecorderHandle::default();
     let opts = ConnectFirstOptions::new(rate);
+    let connect = |budget: Budget| {
+        let opts = ConnectFirstOptions {
+            budget: Some(budget),
+            ..opts.clone()
+        };
+        synthesize(cdfg, &FlowSpec::ConnectFirst(opts), &Run::default())
+    };
 
     // Ground truth: unbudgeted connect-first.
     let truth = connect_first_flow(cdfg, &opts);
     let truth_feasible = truth.is_ok();
-    let truth_depth = connect_first_anytime(cdfg, &opts, Budget::unlimited(), &recorder).best_depth;
+    let truth_depth = connect(Budget::unlimited()).best_depth;
 
     let mut specs: Vec<(String, Budget)> = [1u64, 4, 32, 1024]
         .iter()
@@ -360,9 +365,9 @@ pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
 
     for (name, budget) in specs {
         out.checks += 1;
-        let o = connect_first_anytime(cdfg, &opts, budget, &recorder);
+        let o = connect(budget);
         if o.termination == Termination::Complete {
-            let got = o.result.is_some();
+            let got = o.result.is_ok();
             if got != truth_feasible {
                 out.violations.push(format!(
                     "connect-first under {name} completed with feasible={got} but \
@@ -370,7 +375,7 @@ pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
                 ));
             }
         } else {
-            if o.result.is_some() || o.error.is_some() {
+            if o.interrupted().is_none() {
                 out.violations.push(format!(
                     "connect-first under {name} was interrupted ({}) yet reported a \
                      definitive answer",
@@ -393,17 +398,20 @@ pub fn anytime_differential(cdfg: &Cdfg, rate: u32) -> AnytimeDifferential {
         let truth_feasible = simple_truth.is_ok();
         for n in [1u64, 16, 256] {
             out.checks += 1;
-            let budget = Budget::new(BudgetSpec::default().max_probes(n));
-            let o = simple_flow_anytime(cdfg, rate, &SynthesisConfig::default(), budget, &recorder);
+            let opts = SimpleOptions {
+                budget: Some(Budget::new(BudgetSpec::default().max_probes(n))),
+                ..SimpleOptions::new(rate)
+            };
+            let o = synthesize(cdfg, &FlowSpec::Simple(opts), &Run::default());
             if o.termination == Termination::Complete {
-                let got = o.result.is_some();
+                let got = o.result.is_ok();
                 if got != truth_feasible {
                     out.violations.push(format!(
                         "simple flow under max_probes({n}) completed with feasible={got} \
                          but unbudgeted ground truth says feasible={truth_feasible}"
                     ));
                 }
-            } else if o.result.is_some() {
+            } else if o.result.is_ok() {
                 out.violations.push(format!(
                     "simple flow under max_probes({n}) was interrupted ({}) yet \
                      reported a result",

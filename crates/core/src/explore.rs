@@ -10,7 +10,7 @@
 //!   environment). Any `fixed_split` is cleared — the sweep explores
 //!   total budgets, not fixed input/output splits.
 //! * Every flow runs behind the exact pin-feasibility gate
-//!   ([`PinChecker::new`]): `InfeasibleFromTheStart` is the *only*
+//!   ([`Run::gate`]): `InfeasibleFromTheStart` is the *only*
 //!   verdict reported as [`PointStatus::PinInfeasible`], because it is
 //!   the only one sound to lift to dominated points. Incomplete-search
 //!   failures are [`PointStatus::SearchFailed`] and never prune.
@@ -21,35 +21,54 @@
 //!   refutation certificates (exhaustive-failure proofs, valid for any
 //!   same-or-tighter budget; see [`mcs_connect::synthesize_seeded`]).
 
-use mcs_cdfg::{Cdfg, PartitionId, PortMode};
-use mcs_connect::RefutationCert;
+use mcs_cdfg::{Cdfg, PartitionId};
+use mcs_ctl::Budget;
 use mcs_explore::{
     sweep, FlowVariant, PointCoord, PointOutcome, PointRunner, PointStatus, SweepError,
     SweepOptions, SweepReport, SweepSpec,
 };
+use mcs_metrics::MetricsHandle;
 use mcs_obs::RecorderHandle;
-use mcs_pinalloc::{PinAllocError, PinChecker};
-use mcs_sched::Schedule;
 
 use crate::flows::{
-    connect_first_flow_seeded, schedule_first_flow_traced, simple_flow_with_checker,
-    ConnectFirstOptions, FlowError, SynthesisResult,
+    synthesize, ConnectFirstOptions, FlowSpec, Run, ScheduleFirstOptions, SimpleOptions, WarmStart,
 };
-use crate::netlist;
 
-/// Portfolio size for connect-first sweep points. Pinned (rather than
-/// derived from thread count) so the search — and therefore the report —
-/// is identical however many sweep workers run.
-const SWEEP_PORTFOLIO: usize = 4;
+/// Portfolio size for connect-first points, in sweeps and serve jobs
+/// alike. Pinned (rather than derived from thread count) so the search —
+/// and therefore the report — is identical however many sweep workers or
+/// daemon workers run.
+const POINT_PORTFOLIO: usize = 4;
 
-/// Warm-start payload carried between sweep points at the same rate.
-#[derive(Clone, Debug, Default)]
-pub struct ExploreExport {
-    /// Epoch-0 pin-probe verdicts ([`PinChecker::initial_probe_memo`]).
-    /// Only `false` entries are seeded into dominated points.
-    pub probe_memo: Vec<((usize, i64), bool)>,
-    /// Refutation certificates learned by the connection search.
-    pub certs: Vec<RefutationCert>,
+/// The flow one sweep point (or one serve synth job) runs: `flow` at
+/// `rate`, charging `budget` and reporting into `metrics`. Connect-first
+/// points use a single-threaded search over a pinned portfolio;
+/// schedule-first points take the default pipe length.
+pub fn point_spec(
+    flow: FlowVariant,
+    rate: u32,
+    budget: Option<Budget>,
+    metrics: MetricsHandle,
+) -> FlowSpec {
+    match flow {
+        FlowVariant::Simple => FlowSpec::Simple(SimpleOptions {
+            budget,
+            metrics,
+            ..SimpleOptions::new(rate)
+        }),
+        FlowVariant::ConnectFirst => FlowSpec::ConnectFirst(ConnectFirstOptions {
+            workers: 1,
+            portfolio: Some(POINT_PORTFOLIO),
+            budget,
+            metrics,
+            ..ConnectFirstOptions::new(rate)
+        }),
+        FlowVariant::ScheduleFirst => FlowSpec::ScheduleFirst(ScheduleFirstOptions {
+            budget,
+            metrics,
+            ..ScheduleFirstOptions::new(rate)
+        }),
+    }
 }
 
 /// Anything [`run_sweep`] can fail with before synthesis starts.
@@ -93,237 +112,132 @@ impl From<SweepError> for ExploreError {
 }
 
 /// The concrete lattice-point runner: clones the design, applies the
-/// budget override, runs the configured flow, and packages warm-start
-/// exports. Per-point synthesis runs untraced — the sweep's own
-/// telemetry is deterministic counters, not wall-clock spans.
+/// budget override, runs the configured flow behind the pin gate, and
+/// passes the warm-start exports on. Per-point synthesis runs untraced —
+/// the sweep's own telemetry is deterministic counters, not wall-clock
+/// spans.
 pub struct DesignRunner<'a> {
     cdfg: &'a Cdfg,
     flow: FlowVariant,
-    budget: Option<mcs_ctl::Budget>,
-    metrics: mcs_metrics::MetricsHandle,
+    budget: Option<Budget>,
+    metrics: MetricsHandle,
 }
 
 impl<'a> DesignRunner<'a> {
-    /// A runner for `cdfg` executing `flow` at every point.
-    pub fn new(cdfg: &'a Cdfg, flow: FlowVariant) -> Self {
+    /// A runner for `cdfg` executing `flow` at every point. The sweep's
+    /// execution budget and metrics sink are shared with every point's
+    /// flow: the pin gate's construction-time solve, pin probes, Gomory
+    /// pivots, search nodes and scheduling steps all charge the budget,
+    /// so the sweep driver observes a mid-wave trip at the next wave
+    /// barrier (an interrupted point reports [`PointStatus::Error`] and
+    /// never prunes), and per-point probe latencies, solver pivots and
+    /// search epochs aggregate into the registry under `explore.*`.
+    pub fn new(cdfg: &'a Cdfg, flow: FlowVariant, opts: &SweepOptions) -> Self {
         DesignRunner {
             cdfg,
             flow,
-            budget: None,
-            metrics: mcs_metrics::MetricsHandle::default(),
+            budget: opts.budget.clone(),
+            metrics: opts.metrics.clone(),
         }
     }
+}
 
-    /// Shares an execution budget with every point's flow: pin probes,
-    /// Gomory pivots, search nodes and scheduling steps all charge this
-    /// ledger, so the sweep driver (given the same handle) observes a
-    /// mid-wave trip at the next wave barrier. An interrupted point
-    /// reports [`PointStatus::Error`] and never prunes.
-    pub fn with_budget(mut self, budget: Option<mcs_ctl::Budget>) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Metrics sink threaded into every point's flow. Per-point probe
-    /// latencies, solver pivots and search epochs all aggregate into the
-    /// same registry; the sweep driver layers `explore.*` on top.
-    pub fn with_metrics(mut self, metrics: mcs_metrics::MetricsHandle) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// The design with one budget vector applied.
-    fn apply_budget(&self, budget: &[u32]) -> Cdfg {
-        let mut cdfg = self.cdfg.clone();
-        for (i, &pins) in budget.iter().enumerate() {
-            let p = cdfg.partition_mut(PartitionId::new(i as u32 + 1));
-            p.total_pins = pins;
-            p.fixed_split = None;
-        }
-        cdfg
-    }
-
-    /// Fills the feasible-point cost fields from a flow result.
-    fn measure(cdfg: &Cdfg, result: &SynthesisResult, out: &mut PointOutcome) {
-        out.status = Some(PointStatus::Feasible);
-        out.latency = Some(result.pipe_length);
-        out.total_pins = Some(result.pins_used.iter().skip(1).sum());
-        out.buses = Some(result.interconnect.buses.len() as u32);
-        let nl = netlist::build(cdfg, &result.schedule, &result.interconnect);
-        out.registers = Some(
-            nl.chips
-                .values()
-                .flat_map(|c| c.registers.iter())
-                .map(|r| r.copies)
-                .sum(),
-        );
-    }
-
-    /// Maps a flow failure onto the point-status taxonomy. Only the
-    /// gate's exact `InfeasibleFromTheStart` lifts to dominated points;
-    /// everything downstream of the gate is an incomplete search.
-    fn fail(err: FlowError, out: &mut PointOutcome) {
-        out.status = Some(match err {
-            FlowError::PinAllocation(PinAllocError::InfeasibleFromTheStart) => {
-                PointStatus::PinInfeasible
-            }
-            // Interruption is not a verdict about the design; it lands
-            // in the error bucket so it can never prune or export.
-            FlowError::NotSimple(_) | FlowError::PinAllocation(_) | FlowError::Interrupted(_) => {
-                PointStatus::Error
-            }
-            _ => PointStatus::SearchFailed,
-        });
-        out.detail = err.to_string();
+/// Applies one budget vector: entry `i` becomes chip partition `i + 1`'s
+/// `total_pins` (partition 0 is the environment), and any `fixed_split`
+/// is cleared.
+pub fn apply_pin_budgets(cdfg: &mut Cdfg, budget: &[u32]) {
+    for (i, &pins) in budget.iter().enumerate() {
+        let p = cdfg.partition_mut(PartitionId::new(i as u32 + 1));
+        p.total_pins = pins;
+        p.fixed_split = None;
     }
 }
 
 impl PointRunner for DesignRunner<'_> {
-    type Export = ExploreExport;
+    type Export = WarmStart;
 
     fn run(
         &self,
         coord: PointCoord,
         budget: &[u32],
-        seeds: &[(PointCoord, std::sync::Arc<ExploreExport>)],
-    ) -> (PointOutcome, Option<ExploreExport>) {
-        let cdfg = self.apply_budget(budget);
-        let mut out = PointOutcome::default();
-        let recorder = RecorderHandle::default();
-
-        // The exact pin-feasibility gate, shared by every flow. Its
-        // construction-time rejection is the one budget-dependent
-        // verdict sound to lift (the dominance pruning rule).
-        let mut checker = match PinChecker::new(&cdfg, coord.rate) {
-            Ok(c) => c,
-            Err(PinAllocError::InfeasibleFromTheStart) => {
-                out.status = Some(PointStatus::PinInfeasible);
-                out.detail = PinAllocError::InfeasibleFromTheStart.to_string();
-                return (out, None);
-            }
-            Err(e) => {
-                out.status = Some(PointStatus::Error);
-                out.detail = e.to_string();
-                return (out, None);
-            }
-        };
-
+        seeds: &[(PointCoord, std::sync::Arc<WarmStart>)],
+    ) -> (PointOutcome, Option<WarmStart>) {
+        let mut cdfg = self.cdfg.clone();
+        apply_pin_budgets(&mut cdfg, budget);
         // Only `false` verdicts transfer from looser-budget donors: an
         // infeasible probe stays infeasible with fewer pins, but a
         // feasible one may not.
-        let seed_memo: Vec<((usize, i64), bool)> = seeds
-            .iter()
-            .flat_map(|(_, e)| e.probe_memo.iter())
-            .filter(|&&(_, verdict)| !verdict)
-            .copied()
-            .collect();
-        let seed_certs: Vec<RefutationCert> = seeds
-            .iter()
-            .flat_map(|(_, e)| e.certs.iter().cloned())
-            .collect();
+        let warm = WarmStart {
+            memo: seeds
+                .iter()
+                .flat_map(|(_, e)| e.memo.iter())
+                .filter(|&&(_, verdict)| !verdict)
+                .copied()
+                .collect(),
+            certs: seeds
+                .iter()
+                .flat_map(|(_, e)| e.certs.iter().cloned())
+                .collect(),
+        };
+        let spec = point_spec(
+            self.flow,
+            coord.rate,
+            self.budget.clone(),
+            self.metrics.clone(),
+        );
+        let run = Run {
+            warm,
+            gate: true,
+            ..Run::default()
+        };
+        let out = synthesize(&cdfg, &spec, &run);
 
-        match self.flow {
-            FlowVariant::Simple => {
-                checker.seed_initial_memo(&seed_memo);
-                if let Some(b) = &self.budget {
-                    checker.set_budget(b.clone());
-                }
-                match simple_flow_with_checker(&cdfg, coord.rate, checker, &recorder, &self.metrics)
-                {
-                    Ok((result, probe)) => {
-                        Self::measure(&cdfg, &result, &mut out);
-                        out.solver_probes = probe.stats.solver_probes;
-                        out.probe_memo_hits = probe.stats.memo_hits;
-                        out.probe_seed_hits = probe.stats.seed_hits;
-                        let export = ExploreExport {
-                            probe_memo: probe.initial_memo,
-                            certs: Vec::new(),
-                        };
-                        (out, Some(export))
-                    }
-                    Err(e) => {
-                        Self::fail(e, &mut out);
-                        (out, None)
-                    }
-                }
-            }
-            FlowVariant::ConnectFirst => {
-                let mut opts = ConnectFirstOptions::new(coord.rate);
-                opts.workers = 1;
-                opts.portfolio = Some(SWEEP_PORTFOLIO);
-                opts.budget = self.budget.clone();
-                opts.metrics = self.metrics.clone();
-                let (res, report) = connect_first_flow_seeded(&cdfg, &opts, &seed_certs, &recorder);
-                out.search_nodes = report.stats.nodes;
-                out.search_cache_hits = report.stats.cache_hits;
-                out.cert_seed_hits = report.stats.seed_hits;
-                // Certificates export even from failed points — failed
-                // searches produce the most valuable proofs.
-                let export = ExploreExport {
-                    probe_memo: Vec::new(),
-                    certs: report.learned,
-                };
-                match res {
-                    Ok(result) => Self::measure(&cdfg, &result, &mut out),
-                    Err(e) => Self::fail(e, &mut out),
-                }
-                (out, Some(export))
-            }
-            FlowVariant::ScheduleFirst => {
-                let pipe = default_pipe_length(&cdfg, coord.rate);
-                match schedule_first_flow_traced(
-                    &cdfg,
-                    coord.rate,
-                    pipe,
-                    PortMode::Unidirectional,
-                    &recorder,
-                ) {
-                    Ok(result) => {
-                        // The Chapter 5 flow reports pins instead of
-                        // constraining them; budgets are checked after
-                        // the fact. An over-budget result is a search
-                        // failure, NOT a liftable infeasibility — the
-                        // flow never consulted the budget, so the
-                        // verdict carries no dominance information.
-                        let over: Vec<String> = result
-                            .pins_used
-                            .iter()
-                            .enumerate()
-                            .skip(1)
-                            .filter(|&(i, &used)| used > budget[i - 1])
-                            .map(|(i, &used)| {
-                                format!("chip {} uses {} > {}", i, used, budget[i - 1])
-                            })
-                            .collect();
-                        if over.is_empty() {
-                            Self::measure(&cdfg, &result, &mut out);
-                        } else {
-                            out.status = Some(PointStatus::SearchFailed);
-                            out.detail = format!("over budget: {}", over.join(", "));
-                        }
-                    }
-                    Err(e) => Self::fail(e, &mut out),
-                }
-                (out, None)
+        let mut point = PointOutcome {
+            status: Some(out.status()),
+            detail: out.detail(),
+            ..PointOutcome::default()
+        };
+        if let Some(p) = &out.probe_stats {
+            point.solver_probes = p.solver_probes;
+            point.probe_memo_hits = p.memo_hits;
+            point.probe_seed_hits = p.seed_hits;
+        }
+        if let Some(s) = &out.search_stats {
+            point.search_nodes = s.nodes;
+            point.search_cache_hits = s.cache_hits;
+            point.cert_seed_hits = s.seed_hits;
+        }
+        if let Ok(result) = &out.result {
+            // The Chapter 5 flow reports pins instead of constraining
+            // them; budgets are checked after the fact. An over-budget
+            // result is a search failure, NOT a liftable infeasibility —
+            // the flow never consulted the budget, so the verdict carries
+            // no dominance information.
+            let over: Vec<String> = if self.flow == FlowVariant::ScheduleFirst {
+                result
+                    .pins_used
+                    .iter()
+                    .enumerate()
+                    .skip(1)
+                    .filter(|&(i, &used)| used > budget[i - 1])
+                    .map(|(i, &used)| format!("chip {} uses {} > {}", i, used, budget[i - 1]))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            if !over.is_empty() {
+                point.status = Some(PointStatus::SearchFailed);
+                point.detail = format!("over budget: {}", over.join(", "));
+            } else {
+                let qor = result.qor(&cdfg);
+                point.latency = Some(qor.latency);
+                point.total_pins = Some(qor.total_pins);
+                point.buses = Some(qor.buses);
+                point.registers = Some(qor.registers);
             }
         }
+        (point, out.exports)
     }
-}
-
-/// The pipe-length bound the schedule-first flow uses when the sweep
-/// does not fix one: ASAP critical path plus one initiation interval
-/// (the same default the `mcs-hls` CLI applies).
-fn default_pipe_length(cdfg: &Cdfg, rate: u32) -> i64 {
-    mcs_cdfg::timing::asap(cdfg)
-        .map(|t| {
-            Schedule {
-                rate,
-                start: t.start,
-            }
-            .pipe_length(cdfg)
-                + rate as i64
-        })
-        .unwrap_or(3 * rate as i64)
 }
 
 /// Runs a full design-space sweep over `cdfg`, wrapped in an `explore`
@@ -351,9 +265,7 @@ pub fn run_sweep(
             });
         }
     }
-    let runner = DesignRunner::new(cdfg, spec.flow)
-        .with_budget(opts.budget.clone())
-        .with_metrics(opts.metrics.clone());
+    let runner = DesignRunner::new(cdfg, spec.flow, opts);
     let report = {
         let _phase = recorder.phase("explore");
         sweep(spec, &runner, opts)?

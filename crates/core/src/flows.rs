@@ -11,7 +11,10 @@ use mcs_connect::{
 use mcs_ctl::{Budget, Termination};
 use mcs_metrics::MetricsHandle;
 use mcs_obs::{Event, RecorderHandle};
-use mcs_pinalloc::{check_simple, PinAllocError, PinChecker, ProbeCacheStats, SimplicityViolation};
+use mcs_pinalloc::{
+    check_simple, PinAllocError, PinChecker, ProbeCacheStats, SimplicityViolation,
+    DEFAULT_PIVOT_BUDGET,
+};
 use mcs_postsyn::{
     connect_after_scheduling, connect_packed, verify_against_schedule, PostsynConfig,
 };
@@ -91,32 +94,6 @@ impl From<SchedError> for FlowError {
     }
 }
 
-/// Cross-flow synthesis tunables (the knobs of the copy-free probe
-/// engine). The default is the production configuration: the stock pivot
-/// budget and no differential cross-checking.
-#[derive(Clone, Debug, Default)]
-pub struct SynthesisConfig {
-    /// Pivot budget per pin-feasibility solve; `None` keeps
-    /// [`mcs_pinalloc::DEFAULT_PIVOT_BUDGET`]. Any value — including 0 —
-    /// is sound: the exact branch-and-bound fallback decides when the
-    /// budget runs out.
-    pub pivot_budget: Option<usize>,
-    /// Cross-check every trail-based probe against the legacy clone-based
-    /// path, panicking on divergence (differential testing; roughly
-    /// doubles probe cost).
-    pub probe_differential: bool,
-    /// Optional execution budget shared by the pin checker (probes and
-    /// Gomory pivots) and the list scheduler (control-step boundaries).
-    /// A tripped budget surfaces as [`FlowError::Interrupted`].
-    pub budget: Option<Budget>,
-    /// Metrics sink threaded through every layer the flow touches: the
-    /// pin checker's probe histograms, the embedded ILP solver's
-    /// counters, the list scheduler's placement attempts, and the
-    /// flow's own `flow/...` phase span tree. Disconnected by default
-    /// (one branch per instrumentation point).
-    pub metrics: MetricsHandle,
-}
-
 /// Common result pieces every flow produces.
 #[derive(Clone, Debug)]
 pub struct SynthesisResult {
@@ -136,6 +113,20 @@ pub struct SynthesisResult {
     /// Connection-search telemetry, for flows that run the Chapter 4
     /// portfolio search (`None` for schedule-first flows).
     pub search_stats: Option<SearchStats>,
+}
+
+/// The cost figures a design-space point or a serve response reports
+/// for one feasible result.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Qor {
+    /// Pipe length in control steps.
+    pub latency: i64,
+    /// Pins used across the chips (the environment partition excluded).
+    pub total_pins: u32,
+    /// Interchip buses.
+    pub buses: u32,
+    /// Register copies in the structural netlist.
+    pub registers: u32,
 }
 
 impl SynthesisResult {
@@ -158,6 +149,23 @@ impl SynthesisResult {
     /// Resource usage per `(partition, class)` (Tables 5.1/5.3).
     pub fn resources(&self, cdfg: &Cdfg) -> BTreeMap<(PartitionId, OperatorClass), u32> {
         self.schedule.resource_usage(cdfg)
+    }
+
+    /// Latency, chip pins, buses and netlist registers. Builds the
+    /// structural netlist once to count the registers.
+    pub fn qor(&self, cdfg: &Cdfg) -> Qor {
+        let nl = crate::netlist::build(cdfg, &self.schedule, &self.interconnect);
+        Qor {
+            latency: self.pipe_length,
+            total_pins: self.pins_used.iter().skip(1).sum(),
+            buses: self.interconnect.buses.len() as u32,
+            registers: nl
+                .chips
+                .values()
+                .flat_map(|c| c.registers.iter())
+                .map(|r| r.copies)
+                .sum(),
+        }
     }
 
     /// The interconnect with every transfer at its *final* bus and range.
@@ -208,6 +216,366 @@ fn record_pin_budget(
     }
 }
 
+/// Options for the Chapter 3 flow (pin-checked list scheduling).
+#[derive(Clone, Debug)]
+pub struct SimpleOptions {
+    /// Initiation rate `L`.
+    pub rate: u32,
+    /// Pivot budget per pin-feasibility solve; `None` keeps
+    /// [`mcs_pinalloc::DEFAULT_PIVOT_BUDGET`]. Any value — including 0 —
+    /// is sound: the exact branch-and-bound fallback decides when the
+    /// budget runs out.
+    pub pivot_budget: Option<usize>,
+    /// Cross-check every trail-based probe against the legacy clone-based
+    /// path, panicking on divergence (differential testing; roughly
+    /// doubles probe cost).
+    pub probe_differential: bool,
+    /// Optional execution budget shared by the pin checker (attached
+    /// before its construction-time solve, then charged by probes and
+    /// Gomory pivots) and the list scheduler (control-step boundaries).
+    /// A tripped budget surfaces as [`FlowError::Interrupted`].
+    pub budget: Option<Budget>,
+    /// Metrics sink threaded through every layer the flow touches: the
+    /// pin checker's probe histograms, the embedded ILP solver's
+    /// counters, the list scheduler's placement attempts, and the
+    /// flow's own `flow/...` phase span tree. Disconnected by default
+    /// (one branch per instrumentation point).
+    pub metrics: MetricsHandle,
+}
+
+impl SimpleOptions {
+    /// The production configuration: stock pivot budget, no
+    /// differential cross-checking, no execution budget.
+    pub fn new(rate: u32) -> Self {
+        SimpleOptions {
+            rate,
+            pivot_budget: None,
+            probe_differential: false,
+            budget: None,
+            metrics: MetricsHandle::default(),
+        }
+    }
+}
+
+/// Options for the connection-before-scheduling flow (Chapters 4 and 6).
+#[derive(Clone, Debug)]
+pub struct ConnectFirstOptions {
+    /// Initiation rate `L`.
+    pub rate: u32,
+    /// Port directionality (Section 4.3).
+    pub mode: PortMode,
+    /// Enable Chapter 6 sub-bus sharing.
+    pub sharing: bool,
+    /// Enable dynamic bus reassignment during scheduling (Section 4.2);
+    /// `false` reproduces the static-assignment baseline.
+    pub reassign: bool,
+    /// Threads expanding the connection-search portfolio.
+    pub workers: usize,
+    /// Portfolio size, when pinned independently of `workers`.
+    pub portfolio: Option<usize>,
+    /// Override of the search branching factor (`None` keeps the
+    /// default).
+    pub branching_factor: Option<usize>,
+    /// Override of the per-worker node budget (`None` keeps the
+    /// default).
+    pub node_budget: Option<usize>,
+    /// Optional execution budget shared by the connection search (epoch
+    /// barriers) and the bus-slot scheduler (control-step boundaries).
+    /// A tripped budget surfaces as [`FlowError::Interrupted`]; the
+    /// [`Outcome`] of [`synthesize`] also carries the partial progress.
+    pub budget: Option<Budget>,
+    /// Metrics sink threaded through the connection search, the bus
+    /// allocator and the flow's own `flow/...` phase span tree.
+    /// Disconnected by default.
+    pub metrics: MetricsHandle,
+}
+
+impl ConnectFirstOptions {
+    /// Defaults: unidirectional, no sharing, with reassignment, a
+    /// single-worker (classic) connection search.
+    pub fn new(rate: u32) -> Self {
+        ConnectFirstOptions {
+            rate,
+            mode: PortMode::Unidirectional,
+            sharing: false,
+            reassign: true,
+            workers: 1,
+            portfolio: None,
+            branching_factor: None,
+            node_budget: None,
+            budget: None,
+            metrics: MetricsHandle::default(),
+        }
+    }
+
+    /// The [`SearchConfig`] these options describe.
+    pub fn search_config(&self) -> SearchConfig {
+        let mut cfg = SearchConfig::new(self.rate).with_workers(self.workers);
+        if self.sharing {
+            cfg = cfg.with_sharing();
+        }
+        if let Some(p) = self.portfolio {
+            cfg = cfg.with_portfolio(p);
+        }
+        if let Some(bf) = self.branching_factor {
+            cfg.branching_factor = bf.max(1);
+        }
+        if let Some(b) = self.node_budget {
+            cfg.node_budget = b;
+        }
+        if let Some(b) = &self.budget {
+            cfg = cfg.with_budget(b.clone());
+        }
+        cfg.with_metrics(self.metrics.clone())
+    }
+}
+
+/// Options for the schedule-before-connection flow (Chapter 5).
+#[derive(Clone, Debug)]
+pub struct ScheduleFirstOptions {
+    /// Initiation rate `L`.
+    pub rate: u32,
+    /// Pipe-length constraint for force-directed scheduling; `None`
+    /// takes the ASAP critical path plus one initiation interval.
+    pub pipe_length: Option<i64>,
+    /// Port directionality of the constructed connection.
+    pub mode: PortMode,
+    /// Execution budget for the pin gate ([`Run::gate`]);
+    /// force-directed scheduling itself has no interruption points.
+    pub budget: Option<Budget>,
+    /// Metrics sink for the flow's `flow/...` phase span tree.
+    /// Disconnected by default.
+    pub metrics: MetricsHandle,
+}
+
+impl ScheduleFirstOptions {
+    /// Defaults: unidirectional ports, the default pipe length.
+    pub fn new(rate: u32) -> Self {
+        ScheduleFirstOptions {
+            rate,
+            pipe_length: None,
+            mode: PortMode::Unidirectional,
+            budget: None,
+            metrics: MetricsHandle::default(),
+        }
+    }
+
+    /// The pipe-length constraint these options give for `cdfg`.
+    pub fn pipe_length(&self, cdfg: &Cdfg) -> i64 {
+        let (rate, l) = (self.rate, i64::from(self.rate));
+        self.pipe_length.unwrap_or_else(|| {
+            mcs_cdfg::timing::asap(cdfg).map_or(3 * l, |t| {
+                Schedule {
+                    rate,
+                    start: t.start,
+                }
+                .pipe_length(cdfg)
+                    + l
+            })
+        })
+    }
+}
+
+/// Which flow [`synthesize`] runs, with its options.
+#[derive(Clone, Debug)]
+pub enum FlowSpec {
+    /// The Chapter 3 flow for simple partitionings.
+    Simple(SimpleOptions),
+    /// The Chapter 4/6 connection-first flow.
+    ConnectFirst(ConnectFirstOptions),
+    /// The Chapter 5 schedule-first flow.
+    ScheduleFirst(ScheduleFirstOptions),
+}
+
+/// Warm-start payload carried between runs of the same design and rate:
+/// seeds going into [`synthesize`] through [`Run::warm`], exports coming
+/// out through [`Outcome::exports`].
+#[derive(Clone, Debug, Default)]
+pub struct WarmStart {
+    /// Epoch-0 pin-probe verdicts ([`PinChecker::initial_probe_memo`]).
+    /// As a seed, only `false` verdicts from runs with componentwise
+    /// larger pin budgets are sound; the caller filters.
+    pub memo: Vec<((usize, i64), bool)>,
+    /// Refutation certificates learned by the connection search (see
+    /// [`mcs_connect::synthesize_seeded`] for the transfer rule).
+    pub certs: Vec<RefutationCert>,
+}
+
+/// How [`synthesize`] runs a flow, apart from the flow's own options.
+#[derive(Clone, Debug, Default)]
+pub struct Run {
+    /// Trace sink: every pipeline decision is mirrored into it as phase
+    /// spans, placement verdicts, probes and counters.
+    pub recorder: RecorderHandle,
+    /// Seeds adopted before the run: the probe memo by the simple flow's
+    /// pin checker, the certificates by the connection search.
+    pub warm: WarmStart,
+    /// Run the exact pin-feasibility gate ([`PinChecker`] construction,
+    /// with the flow's budget attached) before the connect-first and
+    /// schedule-first flows, so a pin budget no schedule can meet is
+    /// reported as [`mcs_explore::PointStatus::PinInfeasible`]. The
+    /// simple flow's own checker is its gate.
+    pub gate: bool,
+}
+
+impl Run {
+    /// A run that only records into `recorder`.
+    pub fn traced(recorder: &RecorderHandle) -> Self {
+        Run {
+            recorder: recorder.clone(),
+            ..Run::default()
+        }
+    }
+}
+
+/// What one [`synthesize`] call produced. Every run returns one — an
+/// interruption or a failure is reported here, never as a hang or abort.
+///
+/// ```
+/// use mcs_cdfg::designs::elliptic;
+/// use multichip_hls::flows::{synthesize, ConnectFirstOptions, FlowSpec, Run};
+/// use mcs_ctl::{Budget, BudgetSpec, Termination};
+///
+/// let d = elliptic::partitioned();
+/// // A one-node ceiling trips at the first epoch barrier.
+/// let mut opts = ConnectFirstOptions::new(6);
+/// opts.budget = Some(Budget::new(BudgetSpec::default().max_nodes(1)));
+/// let out = synthesize(d.cdfg(), &FlowSpec::ConnectFirst(opts), &Run::default());
+/// if out.termination == Termination::BudgetExhausted {
+///     assert!(out.interrupted().is_some());
+///     assert!(out.best_depth > 0, "partial progress is still reported");
+/// }
+/// ```
+#[derive(Clone, Debug)]
+pub struct Outcome {
+    /// The full synthesis result, or why there is none.
+    /// [`FlowError::Interrupted`] means the budget tripped first — not
+    /// evidence of infeasibility.
+    pub result: Result<SynthesisResult, FlowError>,
+    /// How the run ended. [`Termination::Complete`] means the flow ran
+    /// to its natural verdict (success *or* a definitive failure); a
+    /// result with another termination is degraded (e.g. a portfolio
+    /// worker panicked).
+    pub termination: Termination,
+    /// Deepest partial connection the search reached — transfers placed
+    /// on buses — even when no complete connection was found. 0 for
+    /// flows without a connection search.
+    pub best_depth: u64,
+    /// Bus count of that deepest partial connection.
+    pub best_buses: u32,
+    /// Pin-checker probe counters, when the simple flow succeeded.
+    pub probe_stats: Option<ProbeCacheStats>,
+    /// Portfolio telemetry, whenever the connection search ran.
+    pub search_stats: Option<SearchStats>,
+    /// What later runs may adopt ([`Run::warm`]): the simple flow's
+    /// epoch-0 probe memo on success, the connection search's learned
+    /// certificates even on failure (failed searches produce the most
+    /// valuable proofs). `None` when the run produced nothing to share.
+    pub exports: Option<WarmStart>,
+}
+
+impl Outcome {
+    fn new(result: Result<SynthesisResult, FlowError>, search_stats: Option<SearchStats>) -> Self {
+        let termination = match &result {
+            Err(FlowError::Interrupted(t)) => *t,
+            _ => search_stats
+                .as_ref()
+                .map_or(Termination::Complete, |s| s.termination),
+        };
+        let (best_depth, best_buses) = search_stats
+            .as_ref()
+            .map_or((0, 0), |s| (s.deepest, s.deepest_buses));
+        Outcome {
+            result,
+            termination,
+            best_depth,
+            best_buses,
+            probe_stats: None,
+            search_stats,
+            exports: None,
+        }
+    }
+
+    /// The budget verdict when the run was interrupted before reaching
+    /// one of its own.
+    pub fn interrupted(&self) -> Option<Termination> {
+        match self.result {
+            Err(FlowError::Interrupted(t)) => Some(t),
+            _ => None,
+        }
+    }
+
+    /// The point-status taxonomy shared by sweeps and the serve daemon.
+    /// Only the gate's exact `InfeasibleFromTheStart` is an infeasibility
+    /// proof (sound to lift to dominated points); an unsimple design, any
+    /// other pin-allocation failure and an interruption are errors;
+    /// everything downstream of the gate is an incomplete search.
+    pub fn status(&self) -> mcs_explore::PointStatus {
+        use mcs_explore::PointStatus;
+        match &self.result {
+            Ok(_) => PointStatus::Feasible,
+            Err(FlowError::PinAllocation(PinAllocError::InfeasibleFromTheStart)) => {
+                PointStatus::PinInfeasible
+            }
+            Err(
+                FlowError::NotSimple(_) | FlowError::PinAllocation(_) | FlowError::Interrupted(_),
+            ) => PointStatus::Error,
+            Err(_) => PointStatus::SearchFailed,
+        }
+    }
+
+    /// The failure text sweep points and serve responses carry (empty on
+    /// success). A pin-gate rejection reports the checker's own message.
+    pub fn detail(&self) -> String {
+        match &self.result {
+            Ok(_) => String::new(),
+            Err(FlowError::PinAllocation(e)) => e.to_string(),
+            Err(e) => e.to_string(),
+        }
+    }
+}
+
+/// Runs one synthesis flow: the one entry point behind the CLI, the
+/// design-space explorer, the serve daemon and the resynthesis cold
+/// fallback. With [`Run::gate`] set, the exact pin gate runs first; its
+/// failure ends the run with no exports.
+pub fn synthesize(cdfg: &Cdfg, spec: &FlowSpec, run: &Run) -> Outcome {
+    // The simple flow's own checker is its gate.
+    let gate = match spec {
+        FlowSpec::ConnectFirst(o) if run.gate => Some((o.rate, &o.budget)),
+        FlowSpec::ScheduleFirst(o) if run.gate => Some((o.rate, &o.budget)),
+        _ => None,
+    };
+    if let Some((rate, budget)) = gate {
+        if let Err(e) = PinChecker::with_budgets(cdfg, rate, DEFAULT_PIVOT_BUDGET, budget.clone()) {
+            return Outcome::new(Err(e.into()), None);
+        }
+    }
+    match spec {
+        FlowSpec::Simple(opts) => match simple(cdfg, opts, run) {
+            Ok((result, stats, exports)) => Outcome {
+                probe_stats: Some(stats),
+                exports: Some(exports),
+                ..Outcome::new(Ok(result), None)
+            },
+            Err(e) => Outcome::new(Err(e), None),
+        },
+        FlowSpec::ConnectFirst(opts) => {
+            let (result, stats, learned) = connect_first(cdfg, opts, run);
+            Outcome {
+                exports: Some(WarmStart {
+                    memo: Vec::new(),
+                    certs: learned,
+                }),
+                ..Outcome::new(result, Some(stats))
+            }
+        }
+        FlowSpec::ScheduleFirst(opts) => {
+            Outcome::new(schedule_first(cdfg, opts, &run.recorder), None)
+        }
+    }
+}
+
 /// The Chapter 3 flow for simple partitionings: verify Definition 3.2,
 /// list-schedule under the incremental pin-allocation feasibility checker,
 /// then build the interchip connection from the finished schedule (the
@@ -218,81 +586,73 @@ fn record_pin_budget(
 /// [`FlowError::NotSimple`], [`FlowError::PinAllocation`], or any
 /// scheduling failure.
 pub fn simple_flow(cdfg: &Cdfg, rate: u32) -> Result<SynthesisResult, FlowError> {
-    simple_flow_traced(cdfg, rate, &RecorderHandle::default())
+    synthesize(
+        cdfg,
+        &FlowSpec::Simple(SimpleOptions::new(rate)),
+        &Run::default(),
+    )
+    .result
 }
 
-/// [`simple_flow`] with every pipeline decision mirrored into `recorder`:
-/// a `schedule` phase carrying the list scheduler's placement verdicts and
-/// the pin checker's feasibility probes (Gomory pivots included), a
-/// `postsyn` phase for the clique-partitioning connection construction,
-/// and a closing `pin-check` budget audit.
+/// The Chapter 4 (and 6) flow: synthesize the interchip connection first,
+/// then list-schedule with bus slot allocation and dynamic reassignment.
 ///
 /// # Errors
 ///
-/// Identical to [`simple_flow`]; tracing never changes the result.
-pub fn simple_flow_traced(
+/// Connection or scheduling failures; validation failures indicate bugs.
+pub fn connect_first_flow(
     cdfg: &Cdfg,
-    rate: u32,
-    recorder: &RecorderHandle,
+    opts: &ConnectFirstOptions,
 ) -> Result<SynthesisResult, FlowError> {
-    simple_flow_with(cdfg, rate, &SynthesisConfig::default(), recorder)
+    synthesize(cdfg, &FlowSpec::ConnectFirst(opts.clone()), &Run::default()).result
 }
 
-/// [`simple_flow_traced`] with explicit [`SynthesisConfig`] tunables:
-/// the pin checker's pivot budget and the probe differential mode.
+/// The Chapter 5 flow: force-directed scheduling under a pipe-length
+/// constraint, then interchip connection synthesis by clique partitioning.
+/// Resource and pin numbers are *reported*, not constrained — exactly how
+/// Tables 5.1 and 5.3 are produced.
 ///
 /// # Errors
 ///
-/// Identical to [`simple_flow`]; the tunables never change verdicts,
-/// only how they are computed.
-pub fn simple_flow_with(
+/// Scheduling failures (e.g. the pipe length is infeasible).
+pub fn schedule_first_flow(
     cdfg: &Cdfg,
     rate: u32,
-    config: &SynthesisConfig,
-    recorder: &RecorderHandle,
+    pipe_length: i64,
+    mode: PortMode,
 ) -> Result<SynthesisResult, FlowError> {
-    let mut checker = match config.pivot_budget {
-        Some(b) => PinChecker::with_pivot_budget(cdfg, rate, b)?,
-        None => PinChecker::new(cdfg, rate)?,
+    let opts = ScheduleFirstOptions {
+        pipe_length: Some(pipe_length),
+        mode,
+        ..ScheduleFirstOptions::new(rate)
     };
-    checker.set_differential(config.probe_differential);
-    if let Some(b) = &config.budget {
-        checker.set_budget(b.clone());
-    }
-    simple_flow_with_checker(cdfg, rate, checker, recorder, &config.metrics)
-        .map(|(result, _)| result)
+    synthesize(cdfg, &FlowSpec::ScheduleFirst(opts), &Run::default()).result
 }
 
-/// What the pin checker did during one [`simple_flow_with_checker`] run:
-/// the probe counters plus the epoch-0 verdict export that a later
-/// checker for a dominated budget point may adopt (the design-space
-/// explorer's cross-point warm start).
-#[derive(Clone, Debug)]
-pub struct SimpleFlowProbeReport {
-    /// Final probe-cache counters (memo/surrogate/solver/seed hits).
-    pub stats: ProbeCacheStats,
-    /// Pre-commit probe verdicts this run computed itself
-    /// ([`PinChecker::initial_probe_memo`]).
-    pub initial_memo: Vec<((usize, i64), bool)>,
-}
-
-/// [`simple_flow_with`] taking a caller-prepared [`PinChecker`] —
-/// possibly pre-seeded via [`PinChecker::seed_initial_memo`] — and
-/// additionally returning the checker's probe report for cross-run
-/// reuse. The checker must have been built for `(cdfg, rate)` and must
-/// not have committed anything yet.
-///
-/// # Errors
-///
-/// Identical to [`simple_flow`]; seeding never changes verdicts, only
-/// which probes reach the solver.
-pub fn simple_flow_with_checker(
+/// The simple flow's body. Trace: a `schedule` phase carrying the list
+/// scheduler's placement verdicts and the pin checker's feasibility
+/// probes (Gomory pivots included), a `postsyn` phase for the
+/// clique-partitioning connection construction, and a closing
+/// `pin-check` budget audit. On success also returns the checker's probe
+/// counters and its epoch-0 verdict export.
+fn simple(
     cdfg: &Cdfg,
-    rate: u32,
-    mut checker: PinChecker,
-    recorder: &RecorderHandle,
-    metrics: &MetricsHandle,
-) -> Result<(SynthesisResult, SimpleFlowProbeReport), FlowError> {
+    opts: &SimpleOptions,
+    run: &Run,
+) -> Result<(SynthesisResult, ProbeCacheStats, WarmStart), FlowError> {
+    let rate = opts.rate;
+    let (recorder, metrics) = (&run.recorder, &opts.metrics);
+    // The checker doubles as the pin gate; the budget attaches before its
+    // construction-time solve, which on adversarial designs can exceed
+    // any deadline on its own.
+    let mut checker = PinChecker::with_budgets(
+        cdfg,
+        rate,
+        opts.pivot_budget.unwrap_or(DEFAULT_PIVOT_BUDGET),
+        opts.budget.clone(),
+    )?;
+    checker.set_differential(opts.probe_differential);
+    checker.seed_initial_memo(&run.warm.memo);
     let _flow_span = metrics.span("flow");
     check_simple(cdfg).map_err(FlowError::NotSimple)?;
     checker.set_metrics(metrics);
@@ -303,39 +663,38 @@ pub fn simple_flow_with_checker(
     lc.metrics = metrics.clone();
     // Share the checker's budget (if any) with the scheduler so both
     // layers charge one ledger and trip at the same ceiling.
-    lc.budget = policy.checker().budget().cloned();
+    lc.budget = opts.budget.clone();
     let schedule = {
         let _phase = recorder.phase("schedule");
         let _span = metrics.span("schedule");
         list_schedule(cdfg, &lc, &mut policy)?
     };
-    let probe = SimpleFlowProbeReport {
-        stats: policy.checker().probe_stats(),
-        initial_memo: policy.checker().initial_probe_memo(),
+    let stats = policy.checker().probe_stats();
+    let exports = WarmStart {
+        memo: policy.checker().initial_probe_memo(),
+        certs: Vec::new(),
     };
-    if recorder.enabled() {
-        let stats = &probe.stats;
-        recorder.counter("probe.memo_hits", stats.memo_hits as i64);
-        recorder.counter("probe.seed_hits", stats.seed_hits as i64);
-        recorder.counter("probe.surrogate_rejects", stats.surrogate_rejects as i64);
-        recorder.counter("probe.solver", stats.solver_probes as i64);
-        recorder.counter("probe.exact_fallbacks", stats.exact_fallbacks as i64);
-        recorder.counter("probe.max_rollback_depth", stats.max_rollback_depth as i64);
-        recorder.counter("probe.batched", stats.batched_probes as i64);
-        recorder.counter(
+    // Probe counters go to the trace and, except the rollback depth (a
+    // maximum, not a count), to the metrics registry.
+    let counters = [
+        ("probe.memo_hits", stats.memo_hits, true),
+        ("probe.seed_hits", stats.seed_hits, true),
+        ("probe.surrogate_rejects", stats.surrogate_rejects, true),
+        ("probe.solver", stats.solver_probes, true),
+        ("probe.exact_fallbacks", stats.exact_fallbacks, true),
+        ("probe.max_rollback_depth", stats.max_rollback_depth, false),
+        ("probe.batched", stats.batched_probes, true),
+        (
             "probe.batch_checkpoints",
-            stats.batch_shared_checkpoints as i64,
-        );
-    }
-    if metrics.enabled() {
-        let stats = &probe.stats;
-        metrics.add("probe.memo_hits", stats.memo_hits);
-        metrics.add("probe.seed_hits", stats.seed_hits);
-        metrics.add("probe.surrogate_rejects", stats.surrogate_rejects);
-        metrics.add("probe.solver", stats.solver_probes);
-        metrics.add("probe.exact_fallbacks", stats.exact_fallbacks);
-        metrics.add("probe.batched", stats.batched_probes);
-        metrics.add("probe.batch_checkpoints", stats.batch_shared_checkpoints);
+            stats.batch_shared_checkpoints,
+            true,
+        ),
+    ];
+    for (name, value, metered) in counters {
+        recorder.counter(name, value as i64);
+        if metered {
+            metrics.add(name, value);
+        }
     }
     let violations = validate(cdfg, &schedule);
     if !violations.is_empty() {
@@ -400,259 +759,39 @@ pub fn simple_flow_with_checker(
     }
     let result = SynthesisResult::common(cdfg, schedule, ic);
     record_pin_budget(cdfg, &result, recorder, metrics);
-    Ok((result, probe))
+    Ok((result, stats, exports))
 }
 
-/// Options for the connection-before-scheduling flow (Chapters 4 and 6).
-#[derive(Clone, Debug)]
-pub struct ConnectFirstOptions {
-    /// Initiation rate `L`.
-    pub rate: u32,
-    /// Port directionality (Section 4.3).
-    pub mode: PortMode,
-    /// Enable Chapter 6 sub-bus sharing.
-    pub sharing: bool,
-    /// Enable dynamic bus reassignment during scheduling (Section 4.2);
-    /// `false` reproduces the static-assignment baseline.
-    pub reassign: bool,
-    /// Threads expanding the connection-search portfolio.
-    pub workers: usize,
-    /// Portfolio size, when pinned independently of `workers`.
-    pub portfolio: Option<usize>,
-    /// Override of the search branching factor (`None` keeps the
-    /// default).
-    pub branching_factor: Option<usize>,
-    /// Override of the per-worker node budget (`None` keeps the
-    /// default).
-    pub node_budget: Option<usize>,
-    /// Optional execution budget shared by the connection search (epoch
-    /// barriers) and the bus-slot scheduler (control-step boundaries).
-    /// A tripped budget surfaces as [`FlowError::Interrupted`]; use
-    /// [`connect_first_anytime`] to also recover partial progress.
-    pub budget: Option<Budget>,
-    /// Metrics sink threaded through the connection search, the bus
-    /// allocator and the flow's own `flow/...` phase span tree.
-    /// Disconnected by default.
-    pub metrics: MetricsHandle,
-}
-
-impl ConnectFirstOptions {
-    /// Defaults: unidirectional, no sharing, with reassignment, a
-    /// single-worker (classic) connection search.
-    pub fn new(rate: u32) -> Self {
-        ConnectFirstOptions {
-            rate,
-            mode: PortMode::Unidirectional,
-            sharing: false,
-            reassign: true,
-            workers: 1,
-            portfolio: None,
-            branching_factor: None,
-            node_budget: None,
-            budget: None,
-            metrics: MetricsHandle::default(),
-        }
-    }
-
-    /// The [`SearchConfig`] these options describe.
-    pub fn search_config(&self) -> SearchConfig {
-        let mut cfg = SearchConfig::new(self.rate).with_workers(self.workers);
-        if self.sharing {
-            cfg = cfg.with_sharing();
-        }
-        if let Some(p) = self.portfolio {
-            cfg = cfg.with_portfolio(p);
-        }
-        if let Some(bf) = self.branching_factor {
-            cfg.branching_factor = bf.max(1);
-        }
-        if let Some(b) = self.node_budget {
-            cfg.node_budget = b;
-        }
-        if let Some(b) = &self.budget {
-            cfg = cfg.with_budget(b.clone());
-        }
-        cfg.with_metrics(self.metrics.clone())
-    }
-}
-
-/// The Chapter 4 (and 6) flow: synthesize the interchip connection first,
-/// then list-schedule with bus slot allocation and dynamic reassignment.
-///
-/// # Errors
-///
-/// Connection or scheduling failures; validation failures indicate bugs.
-pub fn connect_first_flow(
-    cdfg: &Cdfg,
-    opts: &ConnectFirstOptions,
-) -> Result<SynthesisResult, FlowError> {
-    connect_first_flow_traced(cdfg, opts, &RecorderHandle::default())
-}
-
-/// [`connect_first_flow`] with every pipeline decision mirrored into
-/// `recorder`: a `connect` phase carrying per-worker-epoch
+/// The connect-first flow's body, seeded from [`Run::warm`]'s
+/// certificates. Trace: a `connect` phase carrying per-worker-epoch
 /// [`Event::SearchNode`] telemetry from the portfolio search, a
 /// `schedule` phase carrying placement verdicts and bus reassignments
 /// from every scheduling attempt (including hold-back retries that lose),
 /// a `postsyn` phase auditing the final connection against the winning
-/// schedule, and a closing `pin-check` budget audit.
-///
-/// # Errors
-///
-/// Identical to [`connect_first_flow`]; tracing never changes the result.
-pub fn connect_first_flow_traced(
+/// schedule, and a closing `pin-check` budget audit. Returns the search
+/// telemetry and the certificates this run learned alongside the result.
+fn connect_first(
     cdfg: &Cdfg,
     opts: &ConnectFirstOptions,
-    recorder: &RecorderHandle,
-) -> Result<SynthesisResult, FlowError> {
-    connect_first_flow_seeded(cdfg, opts, &[], recorder).0
-}
-
-/// The connection search's cross-run byproducts, returned by
-/// [`connect_first_flow_seeded`] even when the flow fails — failed
-/// searches produce the most valuable refutation certificates.
-#[derive(Clone, Debug, Default)]
-pub struct ConnectSeedReport {
-    /// Failure proofs learned by this run's portfolio, in deterministic
-    /// barrier order.
-    pub learned: Vec<RefutationCert>,
-    /// The portfolio telemetry (also in the result's `search_stats` on
-    /// success).
-    pub stats: SearchStats,
-}
-
-/// [`connect_first_flow_traced`] with refutation-certificate transfer:
-/// `seed` pre-populates the portfolio's failure cache (see
-/// [`mcs_connect::synthesize_seeded`] for the soundness contract the
-/// caller must uphold) and the report carries what this run learned.
-pub fn connect_first_flow_seeded(
-    cdfg: &Cdfg,
-    opts: &ConnectFirstOptions,
-    seed: &[RefutationCert],
-    recorder: &RecorderHandle,
-) -> (Result<SynthesisResult, FlowError>, ConnectSeedReport) {
+    run: &Run,
+) -> (
+    Result<SynthesisResult, FlowError>,
+    SearchStats,
+    Vec<RefutationCert>,
+) {
+    let recorder = &run.recorder;
     let _flow_span = opts.metrics.span("flow");
     let cfg = opts.search_config().with_recorder(recorder.clone());
     let (ic, search_stats, learned) = {
         let _phase = recorder.phase("connect");
         let _span = opts.metrics.span("connect");
-        synthesize_seeded(cdfg, opts.mode, &cfg, seed)
+        synthesize_seeded(cdfg, opts.mode, &cfg, &run.warm.certs)
     };
-    let report = ConnectSeedReport {
-        learned,
-        stats: search_stats.clone(),
+    let result = match ic {
+        Ok(ic) => connect_first_schedule(cdfg, opts, ic, search_stats.clone(), recorder),
+        Err(e) => Err(e.into()),
     };
-    let ic = match ic {
-        Ok(ic) => ic,
-        Err(e) => return (Err(e.into()), report),
-    };
-    (
-        connect_first_schedule(cdfg, opts, ic, search_stats, recorder),
-        report,
-    )
-}
-
-/// The structured outcome of an interruptible flow run: the full result
-/// when the flow finished, or the best partial progress when the
-/// attached [`Budget`] tripped first. Either way the caller gets a
-/// usable report — never a hang, never an abort.
-///
-/// ```
-/// use mcs_cdfg::designs::elliptic;
-/// use multichip_hls::flows::{connect_first_anytime, ConnectFirstOptions};
-/// use mcs_ctl::{Budget, BudgetSpec, Termination};
-/// use mcs_obs::RecorderHandle;
-///
-/// let d = elliptic::partitioned();
-/// // A one-node ceiling trips at the first epoch barrier.
-/// let budget = Budget::new(BudgetSpec::default().max_nodes(1));
-/// let out = connect_first_anytime(
-///     d.cdfg(),
-///     &ConnectFirstOptions::new(6),
-///     budget,
-///     &RecorderHandle::default(),
-/// );
-/// if out.termination == Termination::BudgetExhausted {
-///     assert!(out.result.is_none());
-///     assert!(out.best_depth > 0, "partial progress is still reported");
-/// }
-/// ```
-#[derive(Clone, Debug)]
-pub struct AnytimeOutcome {
-    /// How the run ended. [`Termination::Complete`] means the flow ran
-    /// to its natural verdict (success *or* a definitive failure).
-    pub termination: Termination,
-    /// The full synthesis result, when the flow produced one.
-    pub result: Option<SynthesisResult>,
-    /// A definitive, non-interruption failure (infeasible design,
-    /// malformed input). `None` when interrupted: interruption is not
-    /// evidence of infeasibility.
-    pub error: Option<FlowError>,
-    /// Deepest partial connection the search reached — transfers placed
-    /// on buses — even when no complete connection was found. The
-    /// "best-so-far" half of the anytime contract.
-    pub best_depth: u64,
-    /// Bus count of that deepest partial connection.
-    pub best_buses: u32,
-    /// Portfolio telemetry, when the flow ran the connection search.
-    pub search_stats: Option<SearchStats>,
-}
-
-/// [`connect_first_flow_traced`] under an execution [`Budget`], never
-/// failing with [`FlowError::Interrupted`]: interruption becomes a
-/// structured [`AnytimeOutcome`] carrying the best partial connection
-/// the portfolio reached before the budget tripped.
-pub fn connect_first_anytime(
-    cdfg: &Cdfg,
-    opts: &ConnectFirstOptions,
-    budget: Budget,
-    recorder: &RecorderHandle,
-) -> AnytimeOutcome {
-    let mut opts = opts.clone();
-    opts.budget = Some(budget);
-    let (res, report) = connect_first_flow_seeded(cdfg, &opts, &[], recorder);
-    let stats = report.stats;
-    let (termination, result, error) = match res {
-        Ok(r) => (stats.termination, Some(r), None),
-        Err(FlowError::Interrupted(t)) => (t, None, None),
-        Err(e) => (stats.termination, None, Some(e)),
-    };
-    AnytimeOutcome {
-        termination,
-        result,
-        error,
-        best_depth: stats.deepest,
-        best_buses: stats.deepest_buses,
-        search_stats: Some(stats),
-    }
-}
-
-/// [`simple_flow_with`] under an execution [`Budget`]: the Chapter 3
-/// flow with interruption reported as a structured [`AnytimeOutcome`]
-/// instead of an error. The simple flow has no connection search, so
-/// `best_depth`/`best_buses` stay 0 on interruption.
-pub fn simple_flow_anytime(
-    cdfg: &Cdfg,
-    rate: u32,
-    config: &SynthesisConfig,
-    budget: Budget,
-    recorder: &RecorderHandle,
-) -> AnytimeOutcome {
-    let mut config = config.clone();
-    config.budget = Some(budget);
-    let (termination, result, error) = match simple_flow_with(cdfg, rate, &config, recorder) {
-        Ok(r) => (Termination::Complete, Some(r), None),
-        Err(FlowError::Interrupted(t)) => (t, None, None),
-        Err(e) => (Termination::Complete, None, Some(e)),
-    };
-    AnytimeOutcome {
-        termination,
-        result,
-        error,
-        best_depth: 0,
-        best_buses: 0,
-        search_stats: None,
-    }
+    (result, search_stats, learned)
 }
 
 /// The scheduling half of the connect-first flow: bus-slot list
@@ -752,41 +891,21 @@ fn connect_first_schedule(
     Ok(result)
 }
 
-/// The Chapter 5 flow: force-directed scheduling under a pipe-length
-/// constraint, then interchip connection synthesis by clique partitioning.
-/// Resource and pin numbers are *reported*, not constrained — exactly how
-/// Tables 5.1 and 5.3 are produced.
-///
-/// # Errors
-///
-/// Scheduling failures (e.g. the pipe length is infeasible).
-pub fn schedule_first_flow(
+/// The schedule-first flow's body. Trace and metrics: a `schedule`
+/// phase around force-directed scheduling, a `postsyn` phase carrying
+/// the clique-partitioning counters, and a closing `pin-check` budget
+/// audit, all under one `flow` span.
+fn schedule_first(
     cdfg: &Cdfg,
-    rate: u32,
-    pipe_length: i64,
-    mode: PortMode,
-) -> Result<SynthesisResult, FlowError> {
-    schedule_first_flow_traced(cdfg, rate, pipe_length, mode, &RecorderHandle::default())
-}
-
-/// [`schedule_first_flow`] with phase spans mirrored into `recorder`: a
-/// `schedule` phase around force-directed scheduling, a `postsyn` phase
-/// carrying the clique-partitioning counters, and a closing `pin-check`
-/// budget audit.
-///
-/// # Errors
-///
-/// Identical to [`schedule_first_flow`]; tracing never changes the
-/// result.
-pub fn schedule_first_flow_traced(
-    cdfg: &Cdfg,
-    rate: u32,
-    pipe_length: i64,
-    mode: PortMode,
+    opts: &ScheduleFirstOptions,
     recorder: &RecorderHandle,
 ) -> Result<SynthesisResult, FlowError> {
+    let _flow_span = opts.metrics.span("flow");
+    let rate = opts.rate;
+    let pipe_length = opts.pipe_length(cdfg);
     let schedule = {
         let _phase = recorder.phase("schedule");
+        let _span = opts.metrics.span("schedule");
         let schedule = fds_schedule(cdfg, &FdsConfig { rate, pipe_length })?;
         recorder.counter("sched.pipe_length", schedule.pipe_length(cdfg));
         schedule
@@ -802,18 +921,17 @@ pub fn schedule_first_flow_traced(
     }
     let ic = {
         let _phase = recorder.phase("postsyn");
+        let _span = opts.metrics.span("postsyn");
         let mut cfg = PostsynConfig::new(rate);
         cfg.recorder = recorder.clone();
-        connect_after_scheduling(cdfg, &schedule, mode, &cfg)
+        connect_after_scheduling(cdfg, &schedule, opts.mode, &cfg)
     };
     let problems = verify_against_schedule(cdfg, &schedule, &ic);
     if !problems.is_empty() {
         return Err(FlowError::InvalidConnection(problems));
     }
     let result = SynthesisResult::common(cdfg, schedule, ic);
-    // The schedule-first flow has no tunables struct to carry a metrics
-    // handle; its pin-budget audit runs unmetered.
-    record_pin_budget(cdfg, &result, recorder, &MetricsHandle::default());
+    record_pin_budget(cdfg, &result, recorder, &opts.metrics);
     Ok(result)
 }
 

@@ -19,6 +19,12 @@
 //!   under a pipe-length constraint, then pin-minimizing connection
 //!   synthesis by clique partitioning.
 //!
+//! Each of the three is a one-line shorthand for [`flows::synthesize`],
+//! the single entry point that also takes budgets, metrics, a trace
+//! recorder and warm-start seeds, and returns the full
+//! [`flows::Outcome`] (anytime partial progress, probe and search
+//! telemetry, warm-start exports).
+//!
 //! ```
 //! use mcs_cdfg::designs::ar_filter;
 //! use multichip_hls::flows::simple_flow;

@@ -507,7 +507,7 @@ mod tests {
 
     #[test]
     fn phase_summary_renders_phases_and_aggregates() {
-        use crate::flows::{connect_first_flow_traced, ConnectFirstOptions};
+        use crate::flows::{synthesize, ConnectFirstOptions, FlowSpec, Run};
         use mcs_cdfg::designs::ar_filter;
         use mcs_cdfg::PortMode;
         use mcs_obs::{summary::summarize, BufferingRecorder, RecorderHandle};
@@ -515,7 +515,10 @@ mod tests {
         let d = ar_filter::general(3, PortMode::Unidirectional);
         let buf = Arc::new(BufferingRecorder::new());
         let rec = RecorderHandle::new(buf.clone());
-        connect_first_flow_traced(d.cdfg(), &ConnectFirstOptions::new(3), &rec).unwrap();
+        let spec = FlowSpec::ConnectFirst(ConnectFirstOptions::new(3));
+        synthesize(d.cdfg(), &spec, &Run::traced(&rec))
+            .result
+            .unwrap();
         let summary = summarize(&buf.timed_events());
         let phases = render_phase_summary(&summary).to_string();
         for phase in ["connect", "schedule", "postsyn", "pin-check"] {
@@ -530,18 +533,21 @@ mod tests {
 
     #[test]
     fn simple_flow_trace_reports_probe_resolution_sources() {
-        use crate::flows::{simple_flow_with, SynthesisConfig};
+        use crate::flows::{synthesize, FlowSpec, Run, SimpleOptions};
         use mcs_cdfg::designs::synthetic;
         use mcs_obs::{summary::summarize, BufferingRecorder, RecorderHandle};
         use std::sync::Arc;
         let d = synthetic::fig_2_5();
         let buf = Arc::new(BufferingRecorder::new());
         let rec = RecorderHandle::new(buf.clone());
-        let config = SynthesisConfig {
+        let config = SimpleOptions {
             probe_differential: true,
-            ..SynthesisConfig::default()
+            ..SimpleOptions::new(2)
         };
-        simple_flow_with(d.cdfg(), 2, &config, &rec).unwrap();
+        let spec = FlowSpec::Simple(config);
+        synthesize(d.cdfg(), &spec, &Run::traced(&rec))
+            .result
+            .unwrap();
         let summary = summarize(&buf.timed_events());
         assert!(!summary.probes_by_source.is_empty());
         let aggregates = render_trace_aggregates(&summary).to_string();

@@ -43,7 +43,7 @@ use mcs_postsyn::verify_against_schedule;
 use mcs_sched::{list_schedule, validate, BusPolicy, ListConfig, Schedule, SlotPlacement};
 
 use crate::flows::{
-    connect_first_flow_traced, simple_flow_traced, ConnectFirstOptions, FlowError, SynthesisResult,
+    synthesize, ConnectFirstOptions, FlowError, FlowSpec, Run, SimpleOptions, SynthesisResult,
 };
 
 /// Which rung of the resynthesis ladder produced the result.
@@ -318,14 +318,19 @@ fn cold_flow(
     recorder: &RecorderHandle,
     metrics: &MetricsHandle,
 ) -> Result<SynthesisResult, FlowError> {
-    if connect_like(prev) {
-        let mut opts = ConnectFirstOptions::new(rate);
-        opts.mode = prev.interconnect.mode;
-        opts.metrics = metrics.clone();
-        connect_first_flow_traced(cdfg, &opts, recorder)
+    let spec = if connect_like(prev) {
+        FlowSpec::ConnectFirst(ConnectFirstOptions {
+            mode: prev.interconnect.mode,
+            metrics: metrics.clone(),
+            ..ConnectFirstOptions::new(rate)
+        })
     } else {
-        simple_flow_traced(cdfg, rate, recorder)
-    }
+        FlowSpec::Simple(SimpleOptions {
+            metrics: metrics.clone(),
+            ..SimpleOptions::new(rate)
+        })
+    };
+    synthesize(cdfg, &spec, &Run::traced(recorder)).result
 }
 
 /// Path 1: revalidate the previous solution against the edited graph and

@@ -212,21 +212,6 @@ impl PinChecker {
         Self::with_pivot_budget(cdfg, rate, DEFAULT_PIVOT_BUDGET)
     }
 
-    /// [`PinChecker::new`] with an execution [`Budget`] attached *before*
-    /// the construction-time feasibility solve, so even the initial
-    /// exact resolve is interruptible. [`PinChecker::new`] runs that
-    /// solve unbudgeted, which on adversarial designs can take
-    /// arbitrarily long; long-running callers (the serve daemon, any
-    /// deadline-bound driver) should construct through here.
-    ///
-    /// # Errors
-    ///
-    /// As [`PinChecker::new`], plus [`PinAllocError::Interrupted`] when
-    /// the budget trips mid-construction.
-    pub fn new_budgeted(cdfg: &Cdfg, rate: u32, budget: Budget) -> Result<Self, PinAllocError> {
-        Self::construct(cdfg, rate, DEFAULT_PIVOT_BUDGET, Some(budget))
-    }
-
     /// [`PinChecker::new`] with an explicit pivot budget per feasibility
     /// solve. A budget of 0 sends every solve straight to the exact
     /// branch-and-bound fallback — slow but still sound.
@@ -235,10 +220,22 @@ impl PinChecker {
         rate: u32,
         pivot_budget: usize,
     ) -> Result<Self, PinAllocError> {
-        Self::construct(cdfg, rate, pivot_budget, None)
+        Self::with_budgets(cdfg, rate, pivot_budget, None)
     }
 
-    fn construct(
+    /// [`PinChecker::with_pivot_budget`] with an optional execution
+    /// [`Budget`] attached *before* the construction-time feasibility
+    /// solve, so even the initial exact resolve is interruptible. An
+    /// unbudgeted construction runs that solve to completion, which on
+    /// adversarial designs can take arbitrarily long; long-running
+    /// callers (the serve daemon, any deadline-bound driver) should
+    /// attach their budget here.
+    ///
+    /// # Errors
+    ///
+    /// As [`PinChecker::new`], plus [`PinAllocError::Interrupted`] when
+    /// the budget trips mid-construction.
+    pub fn with_budgets(
         cdfg: &Cdfg,
         rate: u32,
         pivot_budget: usize,
@@ -498,13 +495,6 @@ impl PinChecker {
     pub fn set_budget(&mut self, budget: Budget) {
         self.solver.set_budget(budget.clone());
         self.budget = Some(budget);
-    }
-
-    /// The execution budget attached via [`PinChecker::set_budget`], if
-    /// any — callers embedding the checker in a larger flow share it so
-    /// every layer charges the same ledger.
-    pub fn budget(&self) -> Option<&Budget> {
-        self.budget.as_ref()
     }
 
     /// The budget's sticky verdict, defaulting to

@@ -6,7 +6,7 @@
 //! refutation certificates), the daemon publishes the job's canonical
 //! response body plus its warm-start exports (the `PinChecker`
 //! epoch-0 probe memo and the connection search's learned
-//! [`RefutationCert`]s) under a key derived from the design digest, the
+//! [`mcs_connect::RefutationCert`]s) under a key derived from the design digest, the
 //! rate and the effective pin-budget vector. Lookups then tier:
 //!
 //! 1. **Exact hit** — same key: the stored response body is replayed
@@ -27,8 +27,8 @@
 
 use mcs_cdfg::fuzz::design_digest;
 use mcs_cdfg::{Cdfg, PartitionId};
-use mcs_connect::RefutationCert;
 use mcs_explore::WarmStartCache;
+use multichip_hls::flows::WarmStart;
 
 use crate::proto::JobFlow;
 
@@ -108,11 +108,9 @@ impl ServeKey {
 /// What one completed job publishes.
 #[derive(Clone, Debug, Default)]
 pub struct ServeEntry {
-    /// Epoch-0 probe verdicts ([`mcs_pinalloc::PinChecker::initial_probe_memo`]);
-    /// only `false` entries transfer to dominated budgets.
-    pub probe_memo: Vec<((usize, i64), bool)>,
-    /// Refutation certificates learned by the connection search.
-    pub certs: Vec<RefutationCert>,
+    /// The job's warm-start exports; only `false` probe verdicts
+    /// transfer to dominated budgets.
+    pub warm: WarmStart,
     /// Canonical response body (no `cache` member) for exact replay.
     pub body: String,
 }
@@ -120,10 +118,9 @@ pub struct ServeEntry {
 /// Warm-start seeds assembled from donor entries.
 #[derive(Clone, Debug, Default)]
 pub struct Seeds {
-    /// Probe verdicts to adopt (already filtered to `false`).
-    pub memo: Vec<((usize, i64), bool)>,
-    /// Certificates to adopt.
-    pub certs: Vec<RefutationCert>,
+    /// Probe verdicts (already filtered to `false`) and certificates to
+    /// adopt.
+    pub warm: WarmStart,
     /// How many donor entries contributed.
     pub donors: usize,
 }
@@ -187,9 +184,10 @@ impl ServeCache {
             }
             if let Some(entry) = self.inner.get(&donor) {
                 seeds
+                    .warm
                     .memo
-                    .extend(entry.probe_memo.iter().filter(|&&(_, v)| !v));
-                seeds.certs.extend(entry.certs.iter().cloned());
+                    .extend(entry.warm.memo.iter().filter(|&&(_, v)| !v));
+                seeds.warm.certs.extend(entry.warm.certs.iter().cloned());
                 seeds.donors += 1;
             }
         }
@@ -261,8 +259,10 @@ mod tests {
 
     fn entry(body: &str, memo: Vec<((usize, i64), bool)>) -> ServeEntry {
         ServeEntry {
-            probe_memo: memo,
-            certs: Vec::new(),
+            warm: WarmStart {
+                memo,
+                certs: Vec::new(),
+            },
             body: body.to_string(),
         }
     }
@@ -290,7 +290,7 @@ mod tests {
         match cache.lookup(&poorer) {
             Lookup::Seeds(seeds) => {
                 assert_eq!(seeds.donors, 1);
-                assert_eq!(seeds.memo, vec![((0, 2), false), ((1, 0), false)]);
+                assert_eq!(seeds.warm.memo, vec![((0, 2), false), ((1, 0), false)]);
             }
             other => panic!("expected seeds, got {other:?}"),
         }

@@ -7,6 +7,7 @@
 //! shapes are parsed and rendered.
 
 use mcs_ctl::BudgetSpec;
+use mcs_explore::FlowVariant;
 
 use crate::json::{self, Json};
 
@@ -27,6 +28,14 @@ impl JobFlow {
         match self {
             JobFlow::Simple => "simple",
             JobFlow::Connect => "connect",
+        }
+    }
+
+    /// The sweep flow this job flow runs.
+    pub fn variant(self) -> FlowVariant {
+        match self {
+            JobFlow::Simple => FlowVariant::Simple,
+            JobFlow::Connect => FlowVariant::ConnectFirst,
         }
     }
 

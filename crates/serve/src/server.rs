@@ -19,19 +19,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mcs_cdfg::{format, Cdfg, PartitionId};
+use mcs_cdfg::{format, Cdfg};
 use mcs_ctl::{Budget, BudgetSpec, Termination};
-use mcs_explore::{FlowVariant, SweepOptions, SweepSpec};
+use mcs_explore::{SweepOptions, SweepSpec};
 use mcs_metrics::export::{to_json, to_prometheus};
 use mcs_metrics::{MetricsHandle, Registry};
 use mcs_obs::RecorderHandle;
-use mcs_pinalloc::{PinAllocError, PinChecker};
-use multichip_hls::explore::run_sweep;
-use multichip_hls::flows::{
-    connect_first_flow_seeded, simple_flow_with_checker, ConnectFirstOptions, FlowError,
-    SynthesisResult,
-};
-use multichip_hls::netlist;
+use multichip_hls::explore::{apply_pin_budgets, point_spec, run_sweep};
+use multichip_hls::flows::{synthesize, Run, SynthesisResult, WarmStart};
 use multichip_hls::resynth;
 
 use crate::cache::{
@@ -43,11 +38,6 @@ use crate::proto::{
     error_response, parse_request, with_provenance, ErrorKind, ExploreRequest, JobFlow, Request,
     ResynthRequest, SynthRequest,
 };
-
-/// Portfolio size pinned for every connect-first job, mirroring the
-/// sweep driver's fixed portfolio: the search result must not depend on
-/// how many daemon workers happen to run.
-const SERVE_PORTFOLIO: usize = 4;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -191,11 +181,7 @@ impl Server {
                     ),
                 ));
             }
-            for (i, &pins) in budget.iter().enumerate() {
-                let p = cdfg.partition_mut(PartitionId::new(i as u32 + 1));
-                p.total_pins = pins;
-                p.fixed_split = None;
-            }
+            apply_pin_budgets(&mut cdfg, budget);
         }
         Ok(cdfg)
     }
@@ -242,15 +228,14 @@ impl Server {
         let cache = self.cache.clone();
         let metrics = self.metrics.clone();
         let job = Box::new(move || {
-            let (core, termination, exports) =
-                run_synth(&cdfg, digest, req.rate, req.flow, budget, &seeds, &metrics);
+            let (core, termination, warm) = run_synth(
+                &cdfg, digest, req.rate, req.flow, budget, seeds.warm, &metrics,
+            );
             if termination == Termination::Complete {
-                let (probe_memo, certs) = exports;
                 cache.insert(
                     key,
                     ServeEntry {
-                        probe_memo,
-                        certs,
+                        warm,
                         body: core.clone(),
                     },
                 );
@@ -291,8 +276,7 @@ impl Server {
                 cache.insert(
                     key,
                     ServeEntry {
-                        probe_memo: Vec::new(),
-                        certs: Vec::new(),
+                        warm: WarmStart::default(),
                         body: core.clone(),
                     },
                 );
@@ -358,8 +342,7 @@ impl Server {
             cache.insert(
                 key,
                 ServeEntry {
-                    probe_memo: Vec::new(),
-                    certs: Vec::new(),
+                    warm: WarmStart::default(),
                     body: core.clone(),
                 },
             );
@@ -499,42 +482,12 @@ fn synth_core(
     )
 }
 
-/// The feasible-result members, mirroring the sweep's point measures.
-fn measure_extra(cdfg: &Cdfg, result: &SynthesisResult) -> String {
-    let total_pins: u32 = result.pins_used.iter().skip(1).sum();
-    let buses = result.interconnect.buses.len();
-    let nl = netlist::build(cdfg, &result.schedule, &result.interconnect);
-    let registers: u32 = nl
-        .chips
-        .values()
-        .flat_map(|c| c.registers.iter())
-        .map(|r| r.copies)
-        .sum();
-    format!(
-        ",\"latency\":{},\"total_pins\":{total_pins},\"buses\":{buses},\"registers\":{registers},\"reassigned\":{}",
-        result.pipe_length, result.reassigned
-    )
-}
-
 fn detail_extra(detail: &str) -> String {
     format!(",\"detail\":\"{}\"", json::escape(detail))
 }
 
-/// Maps a definitive flow failure onto the response status taxonomy —
-/// the same split the sweep runner makes: only the gate's exact
-/// `InfeasibleFromTheStart` is an infeasibility proof; everything else
-/// is an incomplete search or a malformed request.
-fn fail_status(err: &FlowError) -> &'static str {
-    match err {
-        FlowError::PinAllocation(PinAllocError::InfeasibleFromTheStart) => "pin-infeasible",
-        FlowError::NotSimple(_) | FlowError::PinAllocation(_) => "error",
-        _ => "search-failed",
-    }
-}
-
-type SynthExports = (Vec<((usize, i64), bool)>, Vec<mcs_connect::RefutationCert>);
-
-/// Runs one synth job. Returns the canonical response core, how the run
+/// Runs one synth job through the same flow, pin gate and status split
+/// as a sweep point. Returns the canonical response core, how the run
 /// terminated (only [`Termination::Complete`] results are cacheable),
 /// and the warm-start exports to publish.
 fn run_synth(
@@ -543,144 +496,41 @@ fn run_synth(
     rate: u32,
     flow: JobFlow,
     budget: Option<Budget>,
-    seeds: &Seeds,
+    warm: WarmStart,
     metrics: &MetricsHandle,
-) -> (String, Termination, SynthExports) {
-    let recorder = RecorderHandle::default();
-    let complete = Termination::Complete;
-    let none: SynthExports = (Vec::new(), Vec::new());
-    // The exact pin-feasibility gate fronts every flow, exactly as in
-    // the sweep runner: its construction-time rejection is the one
-    // budget-sound infeasibility proof. The budget attaches *before*
-    // the gate's construction-time solve — on adversarial designs that
-    // solve alone can exceed any deadline, and a daemon must be able to
-    // interrupt it.
-    let gate = match &budget {
-        Some(b) => PinChecker::new_budgeted(cdfg, rate, b.clone()),
-        None => PinChecker::new(cdfg, rate),
+) -> (String, Termination, WarmStart) {
+    let spec = point_spec(flow.variant(), rate, budget, metrics.clone());
+    let run = Run {
+        warm,
+        gate: true,
+        ..Run::default()
     };
-    let mut checker = match gate {
-        Ok(c) => c,
-        Err(PinAllocError::Interrupted(t)) => {
-            let core = synth_core(
-                digest,
-                rate,
-                flow,
-                "interrupted",
-                t,
-                ",\"best_depth\":0,\"best_buses\":0",
+    let out = synthesize(cdfg, &spec, &run);
+    let (status, termination, extra) = match (out.interrupted(), &out.result) {
+        (Some(t), _) => (
+            "interrupted",
+            t,
+            format!(
+                ",\"best_depth\":{},\"best_buses\":{}",
+                out.best_depth, out.best_buses
+            ),
+        ),
+        (None, Ok(result)) => {
+            let q = result.qor(cdfg);
+            let extra = format!(
+                ",\"latency\":{},\"total_pins\":{},\"buses\":{},\"registers\":{},\"reassigned\":{}",
+                q.latency, q.total_pins, q.buses, q.registers, result.reassigned
             );
-            return (core, t, none);
+            (out.status().as_str(), Termination::Complete, extra)
         }
-        Err(e @ PinAllocError::InfeasibleFromTheStart) => {
-            let core = synth_core(
-                digest,
-                rate,
-                flow,
-                "pin-infeasible",
-                complete,
-                &detail_extra(&e.to_string()),
-            );
-            return (core, complete, none);
-        }
-        Err(e) => {
-            let core = synth_core(
-                digest,
-                rate,
-                flow,
-                "error",
-                complete,
-                &detail_extra(&e.to_string()),
-            );
-            return (core, complete, none);
-        }
+        (None, Err(_)) => (
+            out.status().as_str(),
+            Termination::Complete,
+            detail_extra(&out.detail()),
+        ),
     };
-    match flow {
-        JobFlow::Simple => {
-            checker.seed_initial_memo(&seeds.memo);
-            if let Some(b) = &budget {
-                checker.set_budget(b.clone());
-            }
-            match simple_flow_with_checker(cdfg, rate, checker, &recorder, metrics) {
-                Ok((result, probe)) => {
-                    let core = synth_core(
-                        digest,
-                        rate,
-                        flow,
-                        "feasible",
-                        complete,
-                        &measure_extra(cdfg, &result),
-                    );
-                    (core, complete, (probe.initial_memo, Vec::new()))
-                }
-                Err(FlowError::Interrupted(t)) => {
-                    let core = synth_core(
-                        digest,
-                        rate,
-                        flow,
-                        "interrupted",
-                        t,
-                        ",\"best_depth\":0,\"best_buses\":0",
-                    );
-                    (core, t, none)
-                }
-                Err(e) => {
-                    let core = synth_core(
-                        digest,
-                        rate,
-                        flow,
-                        fail_status(&e),
-                        complete,
-                        &detail_extra(&e.to_string()),
-                    );
-                    (core, complete, none)
-                }
-            }
-        }
-        JobFlow::Connect => {
-            let mut opts = ConnectFirstOptions::new(rate);
-            opts.workers = 1;
-            opts.portfolio = Some(SERVE_PORTFOLIO);
-            opts.budget = budget.clone();
-            opts.metrics = metrics.clone();
-            let (res, report) = connect_first_flow_seeded(cdfg, &opts, &seeds.certs, &recorder);
-            // Certificates export even from failed runs — failed
-            // searches produce the most valuable proofs.
-            let exports = (Vec::new(), report.learned);
-            match res {
-                Ok(result) => {
-                    let core = synth_core(
-                        digest,
-                        rate,
-                        flow,
-                        "feasible",
-                        complete,
-                        &measure_extra(cdfg, &result),
-                    );
-                    (core, complete, exports)
-                }
-                Err(FlowError::Interrupted(t)) => {
-                    let extra = format!(
-                        ",\"best_depth\":{},\"best_buses\":{}",
-                        report.stats.deepest, report.stats.deepest_buses
-                    );
-                    let core = synth_core(digest, rate, flow, "interrupted", t, &extra);
-                    (core, t, exports)
-                }
-                Err(e) => {
-                    let core = synth_core(
-                        digest,
-                        rate,
-                        flow,
-                        fail_status(&e),
-                        complete,
-                        &detail_extra(&e.to_string()),
-                    );
-                    (core, complete, exports)
-                }
-            }
-        }
-    }
+    let core = synth_core(digest, rate, flow, status, termination, &extra);
+    (core, termination, out.exports.unwrap_or_default())
 }
 
 /// Runs one resynth job: the incremental ladder, with the path taken,
@@ -743,10 +593,7 @@ fn run_explore(
     let recorder = RecorderHandle::default();
     let spec = SweepSpec {
         design: flow_label(digest),
-        flow: match req.flow {
-            JobFlow::Simple => FlowVariant::Simple,
-            JobFlow::Connect => FlowVariant::ConnectFirst,
-        },
+        flow: req.flow.variant(),
         rates: req.rates.clone(),
         budgets: req.pin_budgets.clone(),
     };

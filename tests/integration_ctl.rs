@@ -10,9 +10,8 @@ use std::process::Command;
 use mcs_cdfg::{designs, PortMode};
 use mcs_connect::{synthesize_seeded, ConnectError, SearchConfig};
 use mcs_ctl::{Budget, BudgetSpec, Termination};
-use mcs_obs::RecorderHandle;
 use multichip_hls::flows::{
-    connect_first_anytime, simple_flow_anytime, ConnectFirstOptions, SynthesisConfig,
+    synthesize, ConnectFirstOptions, FlowSpec, Outcome, Run, SimpleOptions,
 };
 
 const BIN: &str = env!("CARGO_BIN_EXE_mcs-hls");
@@ -25,6 +24,19 @@ fn design_path(name: &str) -> String {
         .into_owned()
 }
 
+/// The connect-first flow under `budget`.
+fn budgeted_connect_first(
+    d: &designs::Design,
+    opts: &ConnectFirstOptions,
+    budget: Budget,
+) -> Outcome {
+    let opts = ConnectFirstOptions {
+        budget: Some(budget),
+        ..opts.clone()
+    };
+    synthesize(d.cdfg(), &FlowSpec::ConnectFirst(opts), &Run::default())
+}
+
 /// A zero-millisecond deadline trips at the very first safe point, yet
 /// the flow still returns a valid, empty anytime result: termination
 /// verdict, no result, no error — interruption is not a failure.
@@ -34,10 +46,10 @@ fn deadline_zero_yields_an_empty_but_valid_anytime_result() {
     let mut opts = ConnectFirstOptions::new(2);
     opts.portfolio = Some(4);
     let budget = Budget::new(BudgetSpec::default().deadline_ms(0));
-    let out = connect_first_anytime(d.cdfg(), &opts, budget, &RecorderHandle::default());
+    let out = budgeted_connect_first(&d, &opts, budget);
     assert_eq!(out.termination, Termination::DeadlineExceeded);
-    assert!(out.result.is_none());
-    assert!(out.error.is_none(), "interruption is not an error");
+    assert!(out.result.is_err());
+    assert!(out.interrupted().is_some(), "interruption is not an error");
     let stats = out.search_stats.expect("connect flow always reports stats");
     assert!(stats.nodes > 0, "some work happened before the trip");
 }
@@ -48,16 +60,14 @@ fn deadline_zero_yields_an_empty_but_valid_anytime_result() {
 fn deadline_zero_interrupts_the_simple_flow() {
     let d = designs::ar_filter::simple();
     let budget = Budget::new(BudgetSpec::default().deadline_ms(0));
-    let out = simple_flow_anytime(
-        d.cdfg(),
-        2,
-        &SynthesisConfig::default(),
-        budget,
-        &RecorderHandle::default(),
-    );
+    let opts = SimpleOptions {
+        budget: Some(budget),
+        ..SimpleOptions::new(2)
+    };
+    let out = synthesize(d.cdfg(), &FlowSpec::Simple(opts), &Run::default());
     assert_eq!(out.termination, Termination::DeadlineExceeded);
-    assert!(out.result.is_none());
-    assert!(out.error.is_none());
+    assert!(out.result.is_err());
+    assert!(out.interrupted().is_some());
 }
 
 /// Natural-finish-wins: a node ceiling met *exactly* by the successful
@@ -69,18 +79,13 @@ fn exact_node_ceiling_still_completes() {
     let mut opts = ConnectFirstOptions::new(2);
     opts.portfolio = Some(4);
     // Reference run without a budget, to learn the exact node count.
-    let reference = connect_first_anytime(
-        d.cdfg(),
-        &opts,
-        Budget::unlimited(),
-        &RecorderHandle::default(),
-    );
+    let reference = budgeted_connect_first(&d, &opts, Budget::unlimited());
     assert_eq!(reference.termination, Termination::Complete);
     let reference = reference.result.expect("adversarial(6) is feasible");
     let nodes = reference.search_stats.as_ref().expect("stats").nodes;
     // Rerun with the ceiling set to exactly that count.
     let budget = Budget::new(BudgetSpec::default().max_nodes(nodes));
-    let out = connect_first_anytime(d.cdfg(), &opts, budget, &RecorderHandle::default());
+    let out = budgeted_connect_first(&d, &opts, budget);
     assert_eq!(out.termination, Termination::Complete);
     let result = out.result.expect("exact ceiling must not interrupt");
     assert_eq!(result.interconnect, reference.interconnect);
@@ -96,10 +101,10 @@ fn node_budget_outcome_is_identical_across_worker_counts() {
         opts.portfolio = Some(4);
         opts.workers = workers;
         let budget = Budget::new(BudgetSpec::default().max_nodes(1));
-        let out = connect_first_anytime(d.cdfg(), &opts, budget, &RecorderHandle::default());
+        let out = budgeted_connect_first(&d, &opts, budget);
         (
             out.termination,
-            out.result.map(|r| r.interconnect),
+            out.result.ok().map(|r| r.interconnect),
             out.best_depth,
             out.best_buses,
         )

@@ -212,3 +212,34 @@ fn budget_arity_is_validated_up_front() {
         }
     );
 }
+
+/// The sweep budget reaches the pin gate's construction-time solve on
+/// every flow, not only inside the simple flow: a pivot ceiling that
+/// trips during that solve reports the point as an interrupted error
+/// (never a pin-infeasibility verdict, which would prune).
+#[test]
+fn sweep_budget_interrupts_the_pin_gate_on_every_flow() {
+    use mcs_ctl::{Budget, BudgetSpec};
+    let design = elliptic::partitioned();
+    for flow in [FlowVariant::ConnectFirst, FlowVariant::ScheduleFirst] {
+        let spec = SweepSpec {
+            design: "elliptic".into(),
+            flow,
+            rates: vec![6],
+            budgets: vec![vec![48, 48, 64, 48, 48]],
+        };
+        let opts = SweepOptions {
+            budget: Some(Budget::new(BudgetSpec::default().max_pivots(1))),
+            ..SweepOptions::default()
+        };
+        let report =
+            run_sweep(design.cdfg(), &spec, &opts, &RecorderHandle::default()).expect("sweep runs");
+        let point = &report.outcomes[0];
+        assert_eq!(point.status, PointStatus::Error, "{flow:?}: {point:?}");
+        assert!(
+            point.outcome.detail.contains("interrupted"),
+            "{flow:?}: {}",
+            point.outcome.detail
+        );
+    }
+}

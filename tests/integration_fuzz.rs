@@ -20,7 +20,7 @@ use multichip_hls::differential::{
     anytime_differential, flow_differential, flow_differential_with_ports, probe_differential,
     sim_differential,
 };
-use multichip_hls::flows::{simple_flow, simple_flow_traced, FlowError};
+use multichip_hls::flows::{simple_flow, synthesize, FlowError, FlowSpec, Run, SimpleOptions};
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
@@ -348,7 +348,8 @@ fn corpus_finding1_still_reaches_the_exact_fallback() {
     let rate = timing::min_initiation_rate(design.cdfg()).max(1);
     let buf = Arc::new(BufferingRecorder::new());
     let rec = RecorderHandle::new(buf.clone());
-    let _ = simple_flow_traced(design.cdfg(), rate, &rec);
+    let spec = FlowSpec::Simple(SimpleOptions::new(rate));
+    let _ = synthesize(design.cdfg(), &spec, &Run::traced(&rec));
     let fallbacks: i64 = buf
         .events()
         .iter()

@@ -4,10 +4,14 @@
 
 use std::sync::Arc;
 
+use mcs_cdfg::delta::DesignDelta;
 use mcs_cdfg::format;
 use mcs_ctl::ManualClock;
 use multichip_hls::explore::run_sweep;
 use multichip_hls::explore_engine::{FlowVariant, SweepOptions, SweepSpec};
+use multichip_hls::flows::{
+    resynth_flow_traced, simple_flow, synthesize, FlowSpec, ResynthPath, Run, ScheduleFirstOptions,
+};
 use multichip_hls::metrics::{export as metrics_export, MetricsHandle, Registry};
 use multichip_hls::obs::{export as obs_export, BufferingRecorder, Event, RecorderHandle};
 
@@ -141,4 +145,64 @@ fn elliptic_sweep_metrics_identical_across_jobs() {
     assert!(prom1.contains("explore_points"), "{prom1}");
     assert!(prom1.contains("connect_epoch_us_count"), "{prom1}");
     assert!(prom1.contains("profile_wall_us"), "{prom1}");
+}
+
+/// The schedule-first flow and the simple-flow resynthesis cold fallback
+/// report their phases into the metrics span profile. Each row runs on a
+/// fresh registry and must show `flow/schedule` and `flow/postsyn` spans
+/// (nested under `resynth/` for the cold fallback).
+#[test]
+fn flows_record_schedule_and_postsyn_spans() {
+    let text = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/designs/pipeline.mcs"),
+    )
+    .expect("pipeline design present");
+    let design = format::parse(&text).expect("design parses");
+    let cdfg = design.cdfg();
+
+    type Row<'a> = (&'static str, Box<dyn Fn(&MetricsHandle) + 'a>);
+    let rows: Vec<Row> = vec![
+        (
+            "schedule-first",
+            Box::new(|m| {
+                let opts = ScheduleFirstOptions {
+                    metrics: m.clone(),
+                    ..ScheduleFirstOptions::new(2)
+                };
+                let out = synthesize(cdfg, &FlowSpec::ScheduleFirst(opts), &Run::default());
+                out.result.expect("schedule-first flow succeeds");
+            }),
+        ),
+        (
+            "resynth-cold-simple",
+            Box::new(|m| {
+                let prev = simple_flow(cdfg, 2).expect("simple flow succeeds");
+                let delta = DesignDelta::parse("width:p1=16").expect("delta parses");
+                let out = resynth_flow_traced(cdfg, &prev, &delta, &RecorderHandle::default(), m)
+                    .expect("resynthesis succeeds");
+                assert_eq!(
+                    out.path,
+                    ResynthPath::Cold,
+                    "the row must take the cold fallback"
+                );
+            }),
+        ),
+    ];
+    for (name, run) in rows {
+        let reg = Arc::new(Registry::new());
+        run(&MetricsHandle::new(reg.clone()));
+        let paths: Vec<String> = reg
+            .snapshot()
+            .profile
+            .iter()
+            .map(|s| s.path.clone())
+            .collect();
+        for span in ["flow/schedule", "flow/postsyn"] {
+            assert!(
+                paths.iter().any(|p| p.ends_with(span)),
+                "{name}: no {span} span in {paths:?}"
+            );
+        }
+    }
 }

@@ -60,7 +60,7 @@ fn ar_filter_connection_is_identical_across_thread_counts() {
 /// connect-first run is byte-identical across thread counts.
 #[test]
 fn traced_flow_event_stream_is_identical_across_thread_counts() {
-    use multichip_hls::flows::connect_first_flow_traced;
+    use multichip_hls::flows::{synthesize, FlowSpec, Run};
     use multichip_hls::obs::{BufferingRecorder, Event, RecorderHandle};
     use std::sync::Arc;
 
@@ -71,7 +71,8 @@ fn traced_flow_event_stream_is_identical_across_thread_counts() {
         let mut opts = ConnectFirstOptions::new(3);
         opts.workers = workers;
         opts.portfolio = Some(PORTFOLIO);
-        connect_first_flow_traced(d.cdfg(), &opts, &rec)
+        synthesize(d.cdfg(), &FlowSpec::ConnectFirst(opts), &Run::traced(&rec))
+            .result
             .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
         buf.events()
     };

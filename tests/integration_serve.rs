@@ -8,13 +8,13 @@
 
 use mcs_cdfg::designs;
 use mcs_cdfg::format;
-use mcs_metrics::MetricsHandle;
-use mcs_pinalloc::PinChecker;
-use mcs_serve::json::escape;
+use std::collections::BTreeSet;
+
+use mcs_serve::json::{self, escape, Json};
 use mcs_serve::{ServeConfig, Server};
-use multichip_hls::flows::{
-    connect_first_flow_seeded, simple_flow_with_checker, ConnectFirstOptions,
-};
+use multichip_hls::explore::run_sweep;
+use multichip_hls::explore_engine::{FlowVariant, SweepOptions, SweepSpec};
+use multichip_hls::flows::{synthesize, ConnectFirstOptions, FlowSpec, Run, SimpleOptions};
 use multichip_hls::obs::RecorderHandle;
 
 /// The elliptic-filter benchmark's text form plus a feasible serve
@@ -64,22 +64,22 @@ fn provenance(line: &str) -> &str {
 #[test]
 fn probe_memo_roundtrip_is_verdict_identical() {
     let d = designs::ar_filter::simple();
-    let recorder = RecorderHandle::default();
-    let metrics = MetricsHandle::default();
-
-    let checker = PinChecker::new(d.cdfg(), 2).expect("the gate accepts the chapter 3 design");
-    let (cold, probe) = simple_flow_with_checker(d.cdfg(), 2, checker, &recorder, &metrics)
-        .expect("the chapter 3 experiment succeeds");
-    let seeds: Vec<_> = probe
-        .initial_memo
+    let spec = FlowSpec::Simple(SimpleOptions::new(2));
+    let cold = synthesize(d.cdfg(), &spec, &Run::default());
+    let seeds: Vec<_> = cold
+        .exports
+        .expect("a successful simple run exports its memo")
+        .memo
         .iter()
         .copied()
         .filter(|&(_, verdict)| !verdict)
         .collect();
+    let cold = cold.result.expect("the chapter 3 experiment succeeds");
 
-    let mut seeded = PinChecker::new(d.cdfg(), 2).expect("the gate accepts the same design");
-    seeded.seed_initial_memo(&seeds);
-    let (warm, _) = simple_flow_with_checker(d.cdfg(), 2, seeded, &recorder, &metrics)
+    let mut seeded = Run::default();
+    seeded.warm.memo = seeds;
+    let warm = synthesize(d.cdfg(), &spec, &seeded)
+        .result
         .expect("the seeded rerun succeeds");
 
     assert_eq!(cold.pipe_length, warm.pipe_length);
@@ -89,30 +89,33 @@ fn probe_memo_roundtrip_is_verdict_identical() {
 }
 
 /// The connect search's refutation-certificate round trip: certs
-/// learned by a cold run, fed back through `connect_first_flow_seeded`,
+/// learned by a cold run, fed back through `Run::warm`,
 /// must leave the result identical — and when anything was learned, the
 /// seeded run must actually consume it (`seed_hits`).
 #[test]
 fn refutation_cert_roundtrip_is_verdict_identical() {
     let d = designs::elliptic::partitioned();
-    let recorder = RecorderHandle::default();
     let mut opts = ConnectFirstOptions::new(ELLIPTIC_RATE);
     opts.workers = 1;
     opts.portfolio = Some(4);
+    let spec = FlowSpec::ConnectFirst(opts);
 
-    let (cold, cold_report) = connect_first_flow_seeded(d.cdfg(), &opts, &[], &recorder);
-    let cold = cold.expect("the chapter 6 benchmark synthesizes");
+    let cold = synthesize(d.cdfg(), &spec, &Run::default());
+    let learned = cold.exports.expect("the search exports").certs;
+    let cold = cold.result.expect("the chapter 6 benchmark synthesizes");
 
-    let (warm, warm_report) =
-        connect_first_flow_seeded(d.cdfg(), &opts, &cold_report.learned, &recorder);
-    let warm = warm.expect("the seeded rerun synthesizes");
+    let mut seeded = Run::default();
+    seeded.warm.certs = learned.clone();
+    let warm = synthesize(d.cdfg(), &spec, &seeded);
+    let warm_stats = warm.search_stats.expect("the search ran");
+    let warm = warm.result.expect("the seeded rerun synthesizes");
 
     assert_eq!(cold.pipe_length, warm.pipe_length);
     assert_eq!(cold.pins_used, warm.pins_used);
     assert_eq!(cold.interconnect.buses.len(), warm.interconnect.buses.len());
-    if !cold_report.learned.is_empty() {
+    if !learned.is_empty() {
         assert!(
-            warm_report.stats.seed_hits > 0,
+            warm_stats.seed_hits > 0,
             "certs were exported but the seeded run never consumed them"
         );
     }
@@ -260,4 +263,81 @@ fn metrics_request_reports_the_serve_counters() {
     let prom = server.handle_line("{\"cmd\":\"metrics\",\"format\":\"prometheus\"}");
     assert!(prom.contains("\"format\":\"prometheus\""), "{prom}");
     assert!(prom.contains("serve"), "{prom}");
+}
+
+/// Serve's `synth` and a sweep point share one flow entry point, pin
+/// gate, status split and QoR measure: over an elliptic lattice that
+/// straddles the feasibility boundary, both report the same status,
+/// latency, pins, buses and registers for every (flow, rate, budget
+/// vector).
+#[test]
+fn serve_synth_agrees_with_explore_points() {
+    let design = designs::elliptic::partitioned();
+    let text = elliptic_text();
+    let server = Server::new(ServeConfig::default());
+    let budgets = vec![
+        vec![48, 48, 64, 48, 48],
+        vec![24, 32, 48, 32, 32],
+        vec![16, 16, 16, 16, 16],
+    ];
+    let mut statuses = BTreeSet::new();
+    for (flow, job) in [
+        (FlowVariant::Simple, "simple"),
+        (FlowVariant::ConnectFirst, "connect"),
+    ] {
+        let spec = SweepSpec {
+            design: "elliptic".into(),
+            flow,
+            rates: vec![5, 6],
+            budgets: budgets.clone(),
+        };
+        let opts = SweepOptions {
+            prune: false,
+            ..SweepOptions::default()
+        };
+        let report = run_sweep(design.cdfg(), &spec, &opts, &RecorderHandle::default())
+            .expect("the lattice is well-formed");
+        for point in &report.outcomes {
+            let budget = &budgets[point.coord.budget_ix];
+            let pins: Vec<String> = budget.iter().map(u32::to_string).collect();
+            let line = format!(
+                "{{\"cmd\":\"synth\",\"design\":\"{}\",\"rate\":{},\"flow\":\"{job}\",\"pin_budget\":[{}]}}",
+                escape(&text),
+                point.coord.rate,
+                pins.join(",")
+            );
+            let response = server.handle_line(&line);
+            let resp = json::parse(&response).expect("the response is JSON");
+            let num = |key: &str| resp.get(key).and_then(Json::as_u64);
+            let served = (
+                resp.get("status").and_then(Json::as_str),
+                [
+                    num("latency"),
+                    num("total_pins"),
+                    num("buses"),
+                    num("registers"),
+                ],
+            );
+            let o = &point.outcome;
+            let swept = (
+                Some(point.status.as_str()),
+                [
+                    o.latency.map(|v| v as u64),
+                    o.total_pins.map(u64::from),
+                    o.buses.map(u64::from),
+                    o.registers.map(u64::from),
+                ],
+            );
+            assert_eq!(
+                served, swept,
+                "{job} rate {} budget {budget:?}: {response}",
+                point.coord.rate
+            );
+            statuses.insert(point.status.as_str());
+        }
+    }
+    assert!(
+        statuses.contains("feasible") && statuses.len() > 1,
+        "the lattice must straddle the feasibility boundary: {statuses:?}"
+    );
 }
