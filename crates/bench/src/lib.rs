@@ -1148,7 +1148,7 @@ mod tests {
              \"probe\":{\"exact_fallbacks\":3,\"batched\":40,\
              \"batch_checkpoints\":2},\"speedup\":2.00}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_ctl::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]
@@ -1188,7 +1188,7 @@ mod tests {
              \"frontier_agree\":true,\"warm_start_hit_rate\":2.000,\
              \"speedup\":1.50}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_ctl::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]
@@ -1244,7 +1244,7 @@ mod tests {
              \"agree\":true,\"alloc_ratio\":60.00,\"speedup\":8.00,\
              \"wide_ratio\":2.00}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_ctl::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]
@@ -1287,7 +1287,7 @@ mod tests {
              \"shrink\":{\"steps\":104,\"from_ops\":8,\"to_ops\":4},\
              \"wall_ms\":4000.000,\"designs_per_sec\":50.0,\"agree\":true}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_ctl::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]
@@ -1344,7 +1344,7 @@ mod tests {
              \"wall_ms\":250.000,\"requests_per_sec\":256.0,\
              \"hit_speedup\":62.50,\"pass\":true}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_ctl::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]
@@ -1414,7 +1414,7 @@ mod tests {
              \"cold_wall_ms\":40.000,\"speedup\":20.00,\"warm\":true,\
              \"pass\":true}"
         );
-        mcs_obs::export::validate_json(&line).expect("BENCH line is strict JSON");
+        mcs_ctl::json::parse(&line).expect("BENCH line is strict JSON");
     }
 
     #[test]

@@ -45,6 +45,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use mcs_cdfg::{format, timing, Cdfg, PortMode};
+use mcs_ctl::json;
 use multichip_hls::explore::run_sweep;
 use multichip_hls::explore_engine::{FlowVariant, SweepOptions, SweepSpec};
 use multichip_hls::flows::{
@@ -908,7 +909,7 @@ fn main() -> ExitCode {
                 }
             };
             let json = report.to_json();
-            if let Err(e) = export::validate_json(&json) {
+            if let Err(e) = json::parse(&json) {
                 eprintln!("internal error: sweep JSON failed strict validation: {e}");
                 return ExitCode::FAILURE;
             }

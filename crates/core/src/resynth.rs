@@ -36,6 +36,7 @@ use mcs_cdfg::delta::{AppliedDelta, DeltaError, DesignDelta};
 use mcs_cdfg::timing::StepTime;
 use mcs_cdfg::{BusId, Cdfg, OpId, PartitionId, PortMode};
 use mcs_connect::{Bus, BusAssignment, Interconnect, SubRange};
+use mcs_ctl::json::{self, Json};
 use mcs_metrics::MetricsHandle;
 use mcs_obs::RecorderHandle;
 use mcs_pinalloc::PinChecker;
@@ -790,89 +791,85 @@ fn write_ports(s: &mut String, ports: &BTreeMap<PartitionId, u32>) {
 ///
 /// # Errors
 ///
-/// A human-readable description of the first malformed construct.
+/// A human-readable description of the first malformed construct,
+/// including integers that do not fit their field and bus references
+/// (assignment and placement rows) that name no saved bus or a sub-bus
+/// range outside it.
 pub fn result_from_json(text: &str) -> Result<SavedResult, String> {
     let v = json::parse(text)?;
-    let design_digest = json::field(&v, "design")?.as_u64()?;
-    let flow = json::field(&v, "flow")?.as_str()?.to_string();
-    let rate = json::field(&v, "rate")?.as_u64()? as u32;
-    let pipe_length = json::field(&v, "pipe_length")?.as_i64()?;
-    let start = json::field(&v, "start")?
-        .as_arr()?
+    let design_digest = int(field(&v, "design")?)?;
+    let flow = string(field(&v, "flow")?)?.to_string();
+    let rate = int(field(&v, "rate")?)?;
+    let pipe_length = int(field(&v, "pipe_length")?)?;
+    let start = array(field(&v, "start")?)?
         .iter()
         .map(|t| {
-            let pair = t.as_arr()?;
-            if pair.len() != 2 {
-                return Err("start entry is not a [step, offset] pair".into());
-            }
+            let [step, offset_ns] = row(t, "start entry is not a [step, offset] pair")?;
             Ok(StepTime {
-                step: pair[0].as_i64()?,
-                offset_ns: pair[1].as_u64()?,
+                step: int(step)?,
+                offset_ns: int(offset_ns)?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let mode = match json::field(&v, "mode")?.as_str()? {
+    let mode = match string(field(&v, "mode")?)? {
         "uni" => PortMode::Unidirectional,
         "bi" => PortMode::Bidirectional,
         other => return Err(format!("unknown port mode `{other}`")),
     };
-    let buses = json::field(&v, "buses")?
-        .as_arr()?
+    let buses = array(field(&v, "buses")?)?
         .iter()
         .map(|b| {
             Ok(Bus {
-                out_ports: read_ports(json::field(b, "out")?)?,
-                in_ports: read_ports(json::field(b, "in")?)?,
-                bi_ports: read_ports(json::field(b, "bi")?)?,
-                sub_widths: json::field(b, "widths")?
-                    .as_arr()?
+                out_ports: read_ports(field(b, "out")?)?,
+                in_ports: read_ports(field(b, "in")?)?,
+                bi_ports: read_ports(field(b, "bi")?)?,
+                sub_widths: array(field(b, "widths")?)?
                     .iter()
-                    .map(|w| Ok(w.as_u64()? as u32))
+                    .map(int)
                     .collect::<Result<Vec<_>, String>>()?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let mut assignment = BTreeMap::new();
-    for row in json::field(&v, "assignment")?.as_arr()? {
-        let row = row.as_arr()?;
-        if row.len() != 4 {
-            return Err("assignment row is not [op, bus, lo, hi]".into());
+    // A bus reference must name a saved bus and a sub-bus range inside
+    // it; the verifier and scheduler index by both without checking.
+    let carrier = |bus: &Json, lo: &Json, hi: &Json| -> Result<(BusId, SubRange), String> {
+        let (bus, lo, hi): (u32, usize, usize) = (int(bus)?, int(lo)?, int(hi)?);
+        let widths = buses
+            .get(bus as usize)
+            .ok_or_else(|| format!("bus {bus} is not one of the {} saved buses", buses.len()))?
+            .sub_widths
+            .len();
+        if lo > hi || hi >= widths {
+            return Err(format!(
+                "sub-bus range {lo}..={hi} lies outside bus {bus} ({widths} sub-buses)"
+            ));
         }
-        assignment.insert(
-            OpId::new(row[0].as_u64()? as u32),
-            BusAssignment {
-                bus: BusId::new(row[1].as_u64()? as u32),
-                range: SubRange {
-                    lo: row[2].as_u64()? as usize,
-                    hi: row[3].as_u64()? as usize,
-                },
-            },
-        );
+        Ok((BusId::new(bus), SubRange { lo, hi }))
+    };
+    let mut assignment = BTreeMap::new();
+    for r in array(field(&v, "assignment")?)? {
+        let [op, bus, lo, hi] = row(r, "assignment row is not [op, bus, lo, hi]")?;
+        let (bus, range) = carrier(bus, lo, hi)?;
+        assignment.insert(OpId::new(int(op)?), BusAssignment { bus, range });
     }
-    let pins_used = json::field(&v, "pins_used")?
-        .as_arr()?
+    let pins_used = array(field(&v, "pins_used")?)?
         .iter()
-        .map(|p| Ok(p.as_u64()? as u32))
+        .map(int)
         .collect::<Result<Vec<_>, String>>()?;
     let mut placements = BTreeMap::new();
-    for row in json::field(&v, "placements")?.as_arr()? {
-        let row = row.as_arr()?;
-        if row.len() != 5 {
-            return Err("placement row is not [op, bus, step, lo, hi]".into());
-        }
+    for r in array(field(&v, "placements")?)? {
+        let [op, bus, step, lo, hi] = row(r, "placement row is not [op, bus, step, lo, hi]")?;
+        let (bus, range) = carrier(bus, lo, hi)?;
         placements.insert(
-            OpId::new(row[0].as_u64()? as u32),
+            OpId::new(int(op)?),
             SlotPlacement {
-                bus: BusId::new(row[1].as_u64()? as u32),
-                step: row[2].as_i64()?,
-                range: SubRange {
-                    lo: row[3].as_u64()? as usize,
-                    hi: row[4].as_u64()? as usize,
-                },
+                bus,
+                step: int(step)?,
+                range,
             },
         );
     }
-    let reassigned = json::field(&v, "reassigned")?.as_u64()? as usize;
+    let reassigned = int(field(&v, "reassigned")?)?;
     Ok(SavedResult {
         design_digest,
         flow,
@@ -892,237 +889,68 @@ pub fn result_from_json(text: &str) -> Result<SavedResult, String> {
     })
 }
 
-fn read_ports(v: &json::Value) -> Result<BTreeMap<PartitionId, u32>, String> {
+fn read_ports(v: &Json) -> Result<BTreeMap<PartitionId, u32>, String> {
     let mut ports = BTreeMap::new();
-    for row in v.as_arr()? {
-        let row = row.as_arr()?;
-        if row.len() != 2 {
-            return Err("port row is not a [chip, count] pair".into());
-        }
-        ports.insert(
-            PartitionId::new(row[0].as_u64()? as u32),
-            row[1].as_u64()? as u32,
-        );
+    for r in array(v)? {
+        let [chip, count] = row(r, "port row is not a [chip, count] pair")?;
+        ports.insert(PartitionId::new(int(chip)?), int(count)?);
     }
     Ok(ports)
 }
 
-/// A deliberately small JSON reader for the formats this crate itself
-/// emits: integers, strings, booleans, null, arrays and objects. No
-/// floats, no escapes beyond `\"`, `\\`, `\n`, `\t` — the writer never
-/// produces them.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug)]
-    pub enum Value {
-        /// Integer (all numbers this codec emits are integers).
-        Num(i128),
-        /// String.
-        Str(String),
-        /// `true` / `false`. Parsed for tolerance; the saved-result
-        /// writer never emits booleans, so the payload is unread.
-        Bool(#[allow(dead_code)] bool),
-        /// `null`.
-        Null,
-        /// Array.
-        Arr(Vec<Value>),
-        /// Object, in source order.
-        Obj(Vec<(String, Value)>),
+// Typed reads over the parsed document: a missing or mistyped member
+// becomes an error message naming what was expected.
+
+fn kind(v: &Json) -> &'static str {
+    match v {
+        Json::Null => "null",
+        Json::Bool(_) => "a boolean",
+        Json::Num(_) => "a number",
+        Json::Str(_) => "a string",
+        Json::Arr(_) => "an array",
+        Json::Obj(_) => "an object",
     }
+}
 
-    impl Value {
-        pub fn as_u64(&self) -> Result<u64, String> {
-            match self {
-                Value::Num(n) if *n >= 0 && *n <= u64::MAX as i128 => Ok(*n as u64),
-                other => Err(format!("expected unsigned integer, got {other:?}")),
-            }
-        }
-
-        pub fn as_i64(&self) -> Result<i64, String> {
-            match self {
-                Value::Num(n) if *n >= i64::MIN as i128 && *n <= i64::MAX as i128 => Ok(*n as i64),
-                other => Err(format!("expected integer, got {other:?}")),
-            }
-        }
-
-        pub fn as_str(&self) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                other => Err(format!("expected string, got {other:?}")),
-            }
-        }
-
-        pub fn as_arr(&self) -> Result<&[Value], String> {
-            match self {
-                Value::Arr(a) => Ok(a),
-                other => Err(format!("expected array, got {other:?}")),
-            }
-        }
+fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    match v {
+        Json::Obj(_) => v.get(key).ok_or_else(|| format!("missing field `{key}`")),
+        other => Err(format!("expected object with `{key}`, got {}", kind(other))),
     }
+}
 
-    /// Looks up `key` in an object value.
-    pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-        match v {
-            Value::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field `{key}`")),
-            other => Err(format!("expected object with `{key}`, got {other:?}")),
-        }
+fn string(v: &Json) -> Result<&str, String> {
+    v.as_str()
+        .ok_or_else(|| format!("expected string, got {}", kind(v)))
+}
+
+fn array(v: &Json) -> Result<&[Json], String> {
+    v.as_arr()
+        .ok_or_else(|| format!("expected array, got {}", kind(v)))
+}
+
+/// An array of exactly `N` items.
+fn row<'a, const N: usize>(v: &'a Json, shape: &str) -> Result<&'a [Json; N], String> {
+    array(v)?.try_into().map_err(|_| shape.to_string())
+}
+
+/// An integer that fits `T` exactly.
+fn int<T: TryFrom<i128>>(v: &Json) -> Result<T, String> {
+    let Json::Num(raw) = v else {
+        return Err(format!("expected integer, got {}", kind(v)));
+    };
+    if raw.contains(['.', 'e', 'E']) {
+        return Err(format!("floats are not part of this format (`{raw}`)"));
     }
-
-    /// Parses one JSON document; trailing garbage is an error.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            self.skip_ws();
-            if self.i < self.b.len() && self.b[self.i] == c {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {}", c as char, self.i))
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.b.get(self.i).copied()
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.keyword("true", Value::Bool(true)),
-                Some(b'f') => self.keyword("false", Value::Bool(false)),
-                Some(b'n') => self.keyword("null", Value::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(format!("unexpected input at byte {}", self.i)),
-            }
-        }
-
-        fn keyword(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(format!("unknown keyword at byte {}", self.i))
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.i;
-            if self.b.get(self.i) == Some(&b'-') {
-                self.i += 1;
-            }
-            while self.i < self.b.len() && self.b[self.i].is_ascii_digit() {
-                self.i += 1;
-            }
-            if self.i == start || (self.i == start + 1 && self.b[start] == b'-') {
-                return Err(format!("bad number at byte {start}"));
-            }
-            if matches!(self.b.get(self.i), Some(b'.' | b'e' | b'E')) {
-                return Err(format!("floats are not part of this format (byte {start})"));
-            }
-            std::str::from_utf8(&self.b[start..self.i])
-                .ok()
-                .and_then(|s| s.parse::<i128>().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            while let Some(&c) = self.b.get(self.i) {
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let esc = self.b.get(self.i).copied();
-                        self.i += 1;
-                        match esc {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            _ => return Err(format!("bad escape at byte {}", self.i)),
-                        }
-                    }
-                    c => out.push(c as char),
-                }
-            }
-            Err("unterminated string".into())
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", self.i)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", self.i)),
-                }
-            }
-        }
-    }
+    raw.parse::<i128>()
+        .ok()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| {
+            format!(
+                "integer `{raw}` does not fit {}",
+                std::any::type_name::<T>()
+            )
+        })
 }
 
 #[cfg(test)]
@@ -1161,6 +989,53 @@ mod tests {
         ] {
             let err = result_from_json(text).unwrap_err();
             assert!(err.contains(needle), "`{text}` -> `{err}`");
+        }
+    }
+
+    #[test]
+    fn saved_result_strings_decode_non_ascii_and_escapes() {
+        let d = elliptic::partitioned();
+        let r = connect_first_flow(d.cdfg(), &ConnectFirstOptions::new(6)).unwrap();
+        let text = result_to_json(design_digest(d.cdfg()), &r);
+        let tagged = text.replacen("\"flow\":\"connect\"", "\"flow\":\"connecté\\u00e9\"", 1);
+        assert_eq!(result_from_json(&tagged).unwrap().flow, "connectéé");
+    }
+
+    /// Replaces the `nth` unsigned integer after `anchor` in `text`.
+    fn patch(text: &str, anchor: &str, nth: usize, value: &str) -> String {
+        let mut at = text.find(anchor).expect("anchor present") + anchor.len();
+        for i in 0..=nth {
+            at += text[at..].find(|c: char| c.is_ascii_digit()).unwrap();
+            let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+            if i == nth {
+                return format!("{}{value}{}", &text[..at], &text[end..]);
+            }
+            at = end;
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn out_of_range_bus_ids_and_integers_are_rejected() {
+        let d = elliptic::partitioned();
+        let r = connect_first_flow(d.cdfg(), &ConnectFirstOptions::new(6)).unwrap();
+        let text = result_to_json(design_digest(d.cdfg()), &r);
+        assert!(result_from_json(&text).is_ok());
+        for (anchor, nth, value, needle) in [
+            ("\"assignment\":", 1, "99", "bus 99"),
+            ("\"placements\":", 1, "99", "bus 99"),
+            ("\"assignment\":", 2, "7", "outside bus"),
+            ("\"placements\":", 4, "99", "outside bus"),
+            ("\"rate\":", 0, "4294967296", "does not fit u32"),
+            ("\"widths\":", 0, "4294967296", "does not fit u32"),
+            ("\"pins_used\":", 0, "4294967297", "does not fit u32"),
+            ("\"assignment\":", 0, "4294967296", "does not fit u32"),
+            ("\"out\":", 0, "4294967296", "does not fit u32"),
+            ("\"reassigned\":", 0, "-1", "does not fit usize"),
+        ] {
+            let bad = patch(&text, anchor, nth, value);
+            let err = result_from_json(&bad).unwrap_err();
+            assert!(err.contains(needle), "{anchor}[{nth}] = {value} -> `{err}`");
         }
     }
 

@@ -20,6 +20,11 @@
 //!   [`faultpoint!`] macro, used by the test suite to force panics and
 //!   stalls at named sites and prove graceful degradation. In release
 //!   builds the macro expands to nothing.
+//! * [`json`] — the workspace's one strict JSON reader and escape
+//!   helper. It lives here because every crate that reads JSON back
+//!   (serve requests, saved results, metrics snapshots, BENCH lines)
+//!   already depends on this one. Nesting is capped, so untrusted input
+//!   gets an error instead of a stack overflow.
 //!
 //! Time never comes from `Instant::now()` directly: budgets read an
 //! injected [`Clock`], so tests use a [`ManualClock`] and advance it
@@ -40,6 +45,7 @@
 #![deny(missing_docs)]
 
 pub mod fault;
+pub mod json;
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};

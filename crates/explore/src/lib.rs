@@ -36,6 +36,8 @@
 pub mod cache;
 pub mod driver;
 
+use mcs_ctl::json;
+
 pub use cache::WarmStartCache;
 pub use driver::{sweep, SweepError, SweepOptions};
 
@@ -315,22 +317,6 @@ pub fn pareto_frontier(outcomes: &[ExploreOutcome]) -> Vec<FrontierPoint> {
     frontier
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
     v.map_or_else(|| "null".into(), |x| x.to_string())
 }
@@ -342,7 +328,7 @@ impl SweepReport {
         let mut s = String::with_capacity(1024 + self.outcomes.len() * 192);
         s.push_str(&format!(
             "{{\"design\":\"{}\",\"flow\":\"{}\"",
-            json_escape(&self.spec.design),
+            json::escape(&self.spec.design),
             self.spec.flow.as_str()
         ));
         s.push_str(",\"rates\":[");
@@ -391,7 +377,7 @@ impl SweepReport {
                 o.outcome.search_nodes,
                 o.outcome.search_cache_hits,
                 o.outcome.cert_seed_hits,
-                json_escape(&o.outcome.detail),
+                json::escape(&o.outcome.detail),
             ));
         }
         s.push_str("],\"frontier\":[");
@@ -548,7 +534,7 @@ mod tests {
             },
         };
         let json = report.to_json();
-        mcs_obs::export::validate_json(&json).expect("strict JSON");
+        json::parse(&json).expect("strict JSON");
         assert!(json.contains("\"status\":\"pruned\""));
         assert_eq!(report.to_csv().lines().count(), 1 + 2);
     }

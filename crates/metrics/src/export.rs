@@ -6,11 +6,13 @@
 //! a metrics file written by an earlier run (possibly an earlier
 //! binary).
 
+use mcs_ctl::json::{self, escape, Json};
+
 use crate::{bucket_index, HistogramSnapshot, ProfileNode, Snapshot, HISTOGRAM_BUCKETS};
 
-/// Escapes a string for a JSON string literal or a Prometheus label
-/// value (the escape sets coincide for the characters we allow).
-fn escape(s: &str) -> String {
+/// Escapes a Prometheus label value: `"`, `\\` and newline only, as the
+/// text exposition format specifies.
+fn label_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -40,8 +42,7 @@ pub fn sanitize(name: &str) -> String {
 ///  "profile":[{"path":"flow/connect","calls":N,"wall_us":N}]}
 /// ```
 ///
-/// Keys are sorted; the output always passes
-/// `mcs_obs::export::validate_json`.
+/// Keys are sorted; the output always passes [`mcs_ctl::json::parse`].
 pub fn to_json(snap: &Snapshot) -> String {
     let mut out = String::from("{\"counters\":{");
     for (i, (name, v)) in snap.counters.iter().enumerate() {
@@ -121,7 +122,7 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
         for node in &snap.profile {
             out.push_str(&format!(
                 "profile_calls{{path=\"{}\"}} {}\n",
-                escape(&node.path),
+                label_escape(&node.path),
                 node.calls
             ));
         }
@@ -129,7 +130,7 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
         for node in &snap.profile {
             out.push_str(&format!(
                 "profile_wall_us{{path=\"{}\"}} {}\n",
-                escape(&node.path),
+                label_escape(&node.path),
                 node.wall_us
             ));
         }
@@ -152,85 +153,94 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
 /// keys are rejected — a file that does not parse here was not written
 /// by [`to_json`].
 pub fn from_json(text: &str) -> Result<Snapshot, String> {
-    let mut p = Reader {
-        b: text.as_bytes(),
-        i: 0,
+    let Json::Obj(sections) = json::parse(text)? else {
+        return Err("expected `{`: a metrics snapshot is one JSON object".into());
     };
     let mut snap = Snapshot::default();
-    p.expect(b'{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
+    for (key, section) in &sections {
         match key.as_str() {
             "counters" => {
-                for (name, v) in p.flat_object()? {
-                    let v = u64::try_from(v).map_err(|_| format!("counter `{name}` < 0"))?;
-                    snap.counters.insert(name, v);
+                for (name, v) in members(section, "counters")? {
+                    let v = u64::try_from(int(v, name)?)
+                        .map_err(|_| format!("counter `{name}` < 0"))?;
+                    snap.counters.insert(name.clone(), v);
                 }
             }
             "gauges" => {
-                for (name, v) in p.flat_object()? {
-                    let v = i64::try_from(v).map_err(|_| format!("gauge `{name}` overflows"))?;
-                    snap.gauges.insert(name, v);
+                for (name, v) in members(section, "gauges")? {
+                    let v = i64::try_from(int(v, name)?)
+                        .map_err(|_| format!("gauge `{name}` overflows"))?;
+                    snap.gauges.insert(name.clone(), v);
                 }
             }
             "histograms" => {
-                p.expect(b'{')?;
-                if p.peek() == Some(b'}') {
-                    p.i += 1;
-                } else {
-                    loop {
-                        let name = p.string()?;
-                        p.expect(b':')?;
-                        let fields = p.flat_object()?;
-                        let get = |k: &str| -> Result<u64, String> {
-                            fields
-                                .iter()
-                                .find(|(n, _)| n == k)
-                                .and_then(|(_, v)| u64::try_from(*v).ok())
-                                .ok_or_else(|| format!("histogram `{name}` lacks `{k}`"))
-                        };
-                        snap.histograms.insert(
-                            name.clone(),
-                            rebuild_histogram(
-                                get("count")?,
-                                get("sum")?,
-                                get("min")?,
-                                get("max")?,
-                                [get("p50")?, get("p90")?, get("p99")?],
-                            ),
-                        );
-                        if !p.comma_or(b'}')? {
-                            break;
-                        }
-                    }
+                for (name, h) in members(section, "histograms")? {
+                    let get = |k: &str| -> Result<u64, String> {
+                        h.get(k)
+                            .and_then(Json::as_u64)
+                            .ok_or_else(|| format!("histogram `{name}` lacks `{k}`"))
+                    };
+                    snap.histograms.insert(
+                        name.clone(),
+                        rebuild_histogram(
+                            get("count")?,
+                            get("sum")?,
+                            get("min")?,
+                            get("max")?,
+                            [get("p50")?, get("p90")?, get("p99")?],
+                        ),
+                    );
                 }
             }
             "profile" => {
-                p.expect(b'[')?;
-                if p.peek() == Some(b']') {
-                    p.i += 1;
-                } else {
-                    loop {
-                        let fields = p.profile_node()?;
-                        snap.profile.push(fields);
-                        if !p.comma_or(b']')? {
-                            break;
-                        }
-                    }
+                let nodes = section.as_arr().ok_or("`profile` is not an array")?;
+                for node in nodes {
+                    snap.profile.push(profile_node(node)?);
                 }
             }
             other => return Err(format!("unknown top-level key `{other}`")),
         }
-        if !p.comma_or(b'}')? {
-            break;
-        }
-    }
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing garbage at byte {}", p.i));
     }
     Ok(snap)
+}
+
+/// The members of an object-valued section.
+fn members<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+    match v {
+        Json::Obj(m) => Ok(m),
+        _ => Err(format!("`{what}` is not an object")),
+    }
+}
+
+/// An integer value (exported counts are integers, never floats).
+fn int(v: &Json, what: &str) -> Result<i128, String> {
+    match v {
+        Json::Num(raw) => raw.parse().ok(),
+        _ => None,
+    }
+    .ok_or_else(|| format!("`{what}` is not an integer"))
+}
+
+fn profile_node(node: &Json) -> Result<ProfileNode, String> {
+    let Json::Obj(fields) = node else {
+        return Err("profile node is not an object".into());
+    };
+    let mut path = None;
+    let mut calls = None;
+    let mut wall_us = None;
+    for (key, v) in fields {
+        match key.as_str() {
+            "path" => path = Some(v.as_str().ok_or("profile `path` is not a string")?),
+            "calls" => calls = v.as_u64(),
+            "wall_us" => wall_us = v.as_u64(),
+            other => return Err(format!("unknown profile key `{other}`")),
+        }
+    }
+    Ok(ProfileNode {
+        path: path.ok_or("profile node lacks `path`")?.to_string(),
+        calls: calls.ok_or("profile node lacks `calls`")?,
+        wall_us: wall_us.ok_or("profile node lacks `wall_us`")?,
+    })
 }
 
 /// Synthesizes bucket counts reproducing the exported quantiles: the
@@ -267,141 +277,6 @@ fn rebuild_histogram(
     }
 }
 
-/// A minimal reader for the exact JSON shape [`to_json`] emits:
-/// objects, arrays, strings with `\"`/`\\`/`\n` escapes, and integers.
-struct Reader<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Reader<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, self.i))
-        }
-    }
-
-    /// After a value: consumes `,` (returning `true`) or `close`
-    /// (returning `false`).
-    fn comma_or(&mut self, close: u8) -> Result<bool, String> {
-        match self.peek() {
-            Some(b',') => {
-                self.i += 1;
-                Ok(true)
-            }
-            Some(c) if c == close => {
-                self.i += 1;
-                Ok(false)
-            }
-            _ => Err(format!(
-                "expected `,` or `{}` at byte {}",
-                close as char, self.i
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => match self.b.get(self.i).copied() {
-                    Some(b'"') => {
-                        out.push('"');
-                        self.i += 1;
-                    }
-                    Some(b'\\') => {
-                        out.push('\\');
-                        self.i += 1;
-                    }
-                    Some(b'n') => {
-                        out.push('\n');
-                        self.i += 1;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", self.i)),
-                },
-                c => out.push(c as char),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn integer(&mut self) -> Result<i128, String> {
-        self.skip_ws();
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self.i < self.b.len() && self.b[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad integer at byte {start}"))
-    }
-
-    /// `{"name":int,...}` — the shape of the counters/gauges maps and
-    /// of one exported histogram.
-    fn flat_object(&mut self) -> Result<Vec<(String, i128)>, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(fields);
-        }
-        loop {
-            let name = self.string()?;
-            self.expect(b':')?;
-            fields.push((name, self.integer()?));
-            if !self.comma_or(b'}')? {
-                return Ok(fields);
-            }
-        }
-    }
-
-    fn profile_node(&mut self) -> Result<ProfileNode, String> {
-        self.expect(b'{')?;
-        let mut path = None;
-        let mut calls = None;
-        let mut wall_us = None;
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "path" => path = Some(self.string()?),
-                "calls" => calls = u64::try_from(self.integer()?).ok(),
-                "wall_us" => wall_us = u64::try_from(self.integer()?).ok(),
-                other => return Err(format!("unknown profile key `{other}`")),
-            }
-            if !self.comma_or(b'}')? {
-                break;
-            }
-        }
-        Ok(ProfileNode {
-            path: path.ok_or("profile node lacks `path`")?,
-            calls: calls.ok_or("profile node lacks `calls`")?,
-            wall_us: wall_us.ok_or("profile node lacks `wall_us`")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,7 +308,7 @@ mod tests {
     #[test]
     fn json_is_strict_valid_and_golden() {
         let line = to_json(&sample());
-        mcs_obs::export::validate_json(&line).expect("metrics JSON parses");
+        json::parse(&line).expect("metrics JSON parses");
         assert_eq!(
             line,
             "{\"counters\":{\"ilp.pivots\":42},\
@@ -471,7 +346,7 @@ mod tests {
     fn empty_snapshot_renders_cleanly() {
         let snap = Snapshot::default();
         let json = to_json(&snap);
-        mcs_obs::export::validate_json(&json).expect("empty JSON parses");
+        json::parse(&json).expect("empty JSON parses");
         assert_eq!(
             json,
             "{\"counters\":{},\"gauges\":{},\"histograms\":{},\"profile\":[]}"
@@ -501,6 +376,25 @@ mod tests {
         for q in [0.5, 0.9, 0.99] {
             assert_eq!(h.quantile(q), orig.quantile(q));
         }
+    }
+
+    #[test]
+    fn non_ascii_names_round_trip() {
+        let reg = Arc::new(Registry::with_clock(Arc::new(ManualClock::new())));
+        let m = MetricsHandle::new(reg.clone());
+        m.counter("serve.jobs.résumé").add(2);
+        m.gauge("größe").set(-1);
+        m.histogram("latency.日本").observe(7);
+        {
+            let _span = m.span("phase 😀");
+        }
+        let snap = reg.snapshot();
+        let text = to_json(&snap);
+        let loaded = from_json(&text).unwrap();
+        assert_eq!(loaded.counters, snap.counters);
+        assert_eq!(loaded.gauges, snap.gauges);
+        assert_eq!(loaded.profile, snap.profile);
+        assert_eq!(to_json(&loaded), text);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! search epoch — can be captured as an [`Event`] and later exported as a
 //! Chrome `trace_event` JSON (loadable in `chrome://tracing` / Perfetto)
 //! or newline-delimited JSON, or aggregated into a per-phase summary
-//! ([`summary::summarize`]).
+//! ([`summary::summarize`]). The crate only writes JSON; the workspace's
+//! one JSON reader is `mcs_ctl::json`, which the tests here use (as a
+//! dev-dependency) to read every export back.
 //!
 //! The design center is *zero cost when off*: instrumentation sites go
 //! through a [`RecorderHandle`], which caches an `active` flag so that a

@@ -21,10 +21,12 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod json;
 pub mod pool;
 pub mod proto;
 pub mod server;
+
+/// The wire protocol's JSON reader and escape helper.
+pub use mcs_ctl::json;
 
 pub use cache::{Lookup, Seeds, ServeCache, ServeEntry, ServeKey};
 pub use proto::{ErrorKind, JobFlow, Request};

@@ -6,10 +6,9 @@
 //! `docs/SERVE.md`; this module is the single point where the wire
 //! shapes are parsed and rendered.
 
+use mcs_ctl::json::{self, Json};
 use mcs_ctl::BudgetSpec;
 use mcs_explore::FlowVariant;
-
-use crate::json::{self, Json};
 
 /// Which synthesis flow a job runs. The daemon exposes the two
 /// budget-constrained flows; the schedule-first flow reports pins

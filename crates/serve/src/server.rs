@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mcs_cdfg::{format, Cdfg};
-use mcs_ctl::{Budget, BudgetSpec, Termination};
+use mcs_ctl::{json, Budget, BudgetSpec, Termination};
 use mcs_explore::{SweepOptions, SweepSpec};
 use mcs_metrics::export::{to_json, to_prometheus};
 use mcs_metrics::{MetricsHandle, Registry};
@@ -32,7 +32,6 @@ use multichip_hls::resynth;
 use crate::cache::{
     effective_budgets, fnv1a, normalized_digest, Lookup, Seeds, ServeCache, ServeEntry, ServeKey,
 };
-use crate::json;
 use crate::pool::{Lane, WorkerPool};
 use crate::proto::{
     error_response, parse_request, with_provenance, ErrorKind, ExploreRequest, JobFlow, Request,

@@ -133,7 +133,7 @@ fn synth_trace_out_writes_a_valid_chrome_trace() {
     assert!(ok, "{stderr}");
     assert!(stderr.contains("trace:"), "{stderr}");
     let text = std::fs::read_to_string(&tmp).unwrap();
-    multichip_hls::obs::export::validate_json(&text).expect("chrome trace is strict JSON");
+    mcs_ctl::json::parse(&text).expect("chrome trace is strict JSON");
     assert!(text.contains("\"traceEvents\""), "not a chrome trace");
     // The acceptance bar: all four pipeline phases span the trace and at
     // least four distinct typed event kinds appear.
@@ -176,7 +176,7 @@ fn synth_trace_out_jsonl_is_one_object_per_line() {
     let text = std::fs::read_to_string(&tmp).unwrap();
     assert!(text.lines().count() > 4, "{text}");
     for line in text.lines() {
-        multichip_hls::obs::export::validate_json(line).expect("each line is strict JSON");
+        mcs_ctl::json::parse(line).expect("each line is strict JSON");
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
     }
 }
@@ -263,7 +263,7 @@ fn explore_writes_strict_json_and_csv() {
     assert!(ok, "{stderr}");
     assert!(stderr.contains("frontier"), "{stderr}");
     let json = std::fs::read_to_string(&json_path).expect("JSON written");
-    multichip_hls::obs::export::validate_json(&json).expect("strict JSON");
+    mcs_ctl::json::parse(&json).expect("strict JSON");
     assert!(json.contains("\"design\":\"wide-sweep\""), "{json}");
     let csv = std::fs::read_to_string(&csv_path).expect("CSV written");
     assert!(csv.starts_with("rate,budget_ix,budget,status"), "{csv}");

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mcs_cdfg::delta::DesignDelta;
 use mcs_cdfg::format;
-use mcs_ctl::ManualClock;
+use mcs_ctl::{json, ManualClock};
 use multichip_hls::explore::run_sweep;
 use multichip_hls::explore_engine::{FlowVariant, SweepOptions, SweepSpec};
 use multichip_hls::flows::{
@@ -82,9 +82,9 @@ fn stress_eight_threads_exact_totals_and_valid_exports() {
         .sum();
     assert_eq!(recorded as u64, THREADS * ROUNDS.div_ceil(64));
     let timed = buf.timed_events();
-    obs_export::validate_json(&obs_export::chrome_trace(&timed)).expect("chrome export valid");
+    json::parse(&obs_export::chrome_trace(&timed)).expect("chrome export valid");
     for (i, line) in obs_export::jsonl(&timed).lines().enumerate() {
-        obs_export::validate_json(line).unwrap_or_else(|e| panic!("jsonl line {i}: {e}"));
+        json::parse(line).unwrap_or_else(|e| panic!("jsonl line {i}: {e}"));
     }
 
     // The metrics JSON export survives the same validator.

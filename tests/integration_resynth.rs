@@ -246,3 +246,52 @@ fn serve_resynth_replays_exact_repeats_and_keys_on_the_delta() {
     assert!(bad.contains("\"ok\":false"), "{bad}");
     assert!(bad.contains("digest"), "{bad}");
 }
+
+/// A saved result whose assignment names a bus it does not define is a
+/// malformed file: the CLI reports it and exits 1 (not a panic's 101),
+/// and `mcs-serve` answers `bad-request` rather than `worker-panicked`.
+#[test]
+fn saved_result_with_an_unknown_bus_is_refused_not_a_panic() {
+    let dir = std::env::temp_dir().join("mcs_resynth_bad_bus_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let saved = dir.join("pipeline.result.json");
+    let design = example("designs/pipeline.mcs");
+    let saved_path = saved.to_string_lossy().into_owned();
+    let (ok, _, stderr) = run_cli(&["synth", &design, "--rate", "2", "--out-result", &saved_path]);
+    assert!(ok, "{stderr}");
+
+    // Point the first assignment row, `[op, bus, lo, hi]`, at bus 99.
+    let text = std::fs::read_to_string(&saved).unwrap();
+    let (head, rows) = text.split_once("\"assignment\":[[").unwrap();
+    let (op, rest) = rows.split_once(',').unwrap();
+    let (_, rest) = rest.split_once(',').unwrap();
+    let bad = format!("{head}\"assignment\":[[{op},99,{rest}");
+    std::fs::write(&saved, &bad).unwrap();
+
+    let out = Command::new(BIN)
+        .args([
+            "resynth",
+            &design,
+            "--prev",
+            &saved_path,
+            "--edit",
+            "rate:3",
+        ])
+        .output()
+        .expect("mcs-hls binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("not a saved result"), "{stderr}");
+    assert!(stderr.contains("bus 99"), "{stderr}");
+
+    let server = Server::new(ServeConfig::default());
+    let response = server.handle_line(&format!(
+        "{{\"cmd\":\"resynth\",\"design\":\"{}\",\"prev\":\"{}\",\"edit\":\"rate:3\"}}",
+        escape(&std::fs::read_to_string(&design).unwrap()),
+        escape(&bad)
+    ));
+    assert!(response.contains("\"kind\":\"bad-request\""), "{response}");
+    assert!(response.contains("bus 99"), "{response}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

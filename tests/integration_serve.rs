@@ -341,3 +341,41 @@ fn serve_synth_agrees_with_explore_points() {
         "the lattice must straddle the feasibility boundary: {statuses:?}"
     );
 }
+
+/// Hostile nesting is a structured error, not a crash: a request line of
+/// 100,000 nested arrays answers `parse`, a `resynth` whose `prev` nests
+/// as deep answers `bad-request`, and the daemon keeps answering. Runs
+/// on a thread with the 2 MiB default stack of a connection thread.
+#[test]
+fn deeply_nested_requests_are_errors_not_aborts() {
+    let server = std::sync::Arc::new(Server::new(ServeConfig::default()));
+    let worker = server.clone();
+    let answers = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let deep = "[".repeat(100_000);
+            let nested_line = worker.handle_line(&deep);
+            let resynth = format!(
+                "{{\"cmd\":\"resynth\",\"design\":\"{}\",\"prev\":\"{deep}\",\"edit\":\"rate:7\"}}",
+                escape(&elliptic_text())
+            );
+            let nested_prev = worker.handle_line(&resynth);
+            (
+                nested_line,
+                nested_prev,
+                worker.handle_line("{\"cmd\":\"ping\"}"),
+            )
+        })
+        .expect("spawn a connection-sized thread")
+        .join()
+        .expect("nested requests must not overflow the stack");
+    let (nested_line, nested_prev, ping) = answers;
+    assert!(nested_line.contains("\"kind\":\"parse\""), "{nested_line}");
+    assert!(
+        nested_prev.contains("\"kind\":\"bad-request\""),
+        "{nested_prev}"
+    );
+    assert!(nested_prev.contains("prev: "), "{nested_prev}");
+    assert_eq!(ping, "{\"ok\":true,\"cmd\":\"ping\"}");
+    assert_eq!(server.handle_line("{\"cmd\":\"ping\"}"), ping);
+}
