@@ -7,39 +7,12 @@
 //! not, which is the differential gate CI runs. The rendering lives in
 //! [`mcs_bench::probe_bench_line`], where it is golden-tested.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use mcs_bench::{probe_bench_line, verdict_digest, MeasuredProbe};
+use mcs_bench::{probe_bench_line, verdict_digest, CountingAlloc, MeasuredProbe};
 use mcs_cdfg::designs::{ar_filter, synthetic, Design};
 use mcs_cdfg::OpId;
 use mcs_pinalloc::PinChecker;
-
-/// [`System`] with allocation counters, so the sweep can report how many
-/// heap allocations each probe engine performs.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -60,8 +33,8 @@ fn sweep(
             let _ = checker.probe_uncached(op, k, via_clone);
         }
     }
-    let allocs0 = ALLOCS.load(Ordering::Relaxed);
-    let bytes0 = BYTES.load(Ordering::Relaxed);
+    let allocs0 = CountingAlloc::allocations();
+    let bytes0 = CountingAlloc::bytes();
     let t0 = Instant::now();
     for _ in 0..rounds {
         for &op in ops {
@@ -74,8 +47,8 @@ fn sweep(
     MeasuredProbe {
         probes: verdicts.len() as u64,
         feasible: verdicts.iter().filter(|&&v| v).count() as u64,
-        allocations: ALLOCS.load(Ordering::Relaxed) - allocs0,
-        alloc_bytes: BYTES.load(Ordering::Relaxed) - bytes0,
+        allocations: CountingAlloc::allocations() - allocs0,
+        alloc_bytes: CountingAlloc::bytes() - bytes0,
         wall_ms,
         verdict_digest: verdict_digest(&verdicts),
     }

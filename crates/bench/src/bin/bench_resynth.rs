@@ -10,23 +10,27 @@
 //!   headline [`mcs_bench::RESYNTH_SPEEDUP_FLOOR`].
 //! - `elliptic_transfer_width` — narrow a producer whose value crosses
 //!   chips. The carrying transfer is dirtied but the bus structure
-//!   survives (the `patched` rung over the connect-first flow).
+//!   survives and the previous schedule still holds (the `patched`
+//!   rung over the connect-first flow, without list scheduling).
 //! - `ar_filter_transfer_width` — the same edit shape over a simple
 //!   (Chapter 3) previous result, where the patched rung replays the
 //!   previous run's clean pin-checker commits and trial-places only the
 //!   dirty transfers over a commit-level savepoint. On a 34-op design
-//!   the ladder's fixed overhead exceeds a cold run, so this row gates
-//!   correctness and telemetry, not speed ([`REPLAY_SPEEDUP_FLOOR`]).
+//!   the replay's fixed overhead is most of a sub-millisecond cold run,
+//!   so this row gates correctness and telemetry, not speed
+//!   ([`REPLAY_SPEEDUP_FLOOR`]).
 //! - `large_mesh_width` — narrow one shipped value on the 8-chip ring
 //!   at rate 4 (a connect-first result; the mesh partitioning is not
 //!   simple, so the Chapter 3 flow refuses it). Cold resynthesis must
-//!   repeat the heuristic connection search, which takes seconds; the
-//!   patched rung reuses the bus structure and beats it by orders of
-//!   magnitude — the scale row behind the headline floor.
+//!   repeat the heuristic connection search, some 170,000 nodes; the
+//!   patched rung reuses the bus structure and beats it by more than an
+//!   order of magnitude — the scale row behind the headline floor.
 //!
-//! Transfer-dirtying rungs on small designs still re-run bus-slot list
-//! scheduling, so their honest win over cold is bounded; they gate at
-//! [`PATCHED_SPEEDUP_FLOOR`] rather than the local-edit headline.
+//! A transfer-dirtying edit re-runs bus-slot list scheduling whenever
+//! the previous schedule no longer holds, so the patched rung's
+//! guaranteed win over cold on a small design is bounded; such rows
+//! gate at [`PATCHED_SPEEDUP_FLOOR`] rather than the local-edit
+//! headline.
 //!
 //! Every scenario also runs [`multichip_hls::resynth::differential`],
 //! so a line only passes when the incremental result is verifier-clean
@@ -44,7 +48,7 @@ use multichip_hls::resynth::{self, resynth_flow};
 
 /// Repetitions per timed side; the minimum is reported, which is the
 /// stable statistic for a deterministic computation. Three keeps the
-/// mesh row's multi-second cold side inside a CI-friendly budget.
+/// mesh row's cold side inside a CI-friendly budget.
 const REPS: usize = 3;
 
 /// Gate for rungs that dirty transfers and so re-run list scheduling:
@@ -210,7 +214,7 @@ fn main() -> std::process::ExitCode {
         .expect("large mesh synthesizes at rate 4");
     // Narrowing one shipped value dirties exactly its transfer; the
     // other 79 keep their assignments while cold repeats the
-    // multi-second heuristic connection search.
+    // heuristic connection search.
     ok &= run(
         "large_mesh_width",
         &mesh,

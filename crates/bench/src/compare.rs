@@ -1,19 +1,21 @@
 //! BENCH baseline regression comparison: diff a fresh `BENCH_probe.json`,
-//! `BENCH_fuzz.json` or `BENCH_serve.json` against a committed baseline,
-//! field by field.
+//! `BENCH_connect.json`, `BENCH_fuzz.json`, `BENCH_serve.json` or
+//! `BENCH_resynth.json` against a committed baseline, field by field.
 //!
 //! Two classes of field:
 //!
 //! * **Hard** — deterministic results (probe counts, verdict digests,
-//!   differential agreement, fuzz outcome counts, shrink results). Any
+//!   search node counts and sequence digests, differential agreement,
+//!   fuzz outcome counts, shrink results). Any
 //!   change is a regression: these do not depend on the machine, only on
 //!   the code, so a diff means behavior changed without the baseline
 //!   being re-recorded.
 //! * **Threshold** — performance ratios measured *within* one run
 //!   (trail-vs-clone speedup, trail allocation counts). Absolute wall
 //!   times are machine-dependent and never compared; internal ratios
-//!   are, with a tolerance ([`SPEEDUP_RATIO_FLOOR`], [`ALLOC_SLACK`]) so
-//!   scheduler noise does not flake the gate.
+//!   are, with a tolerance ([`SPEEDUP_RATIO_FLOOR`], [`ALLOC_SLACK`],
+//!   [`ALLOCS_PER_NODE_SLACK`]) so scheduler noise does not flake the
+//!   gate.
 //!
 //! Lines are read with [`mcs_ctl::json`], which keeps numbers as raw
 //! text: `verdict_digest` values exceed `i64::MAX` and must be compared
@@ -28,6 +30,10 @@ pub const SPEEDUP_RATIO_FLOOR: f64 = 0.6;
 
 /// Allowed absolute growth in trail-engine heap allocations per sweep.
 pub const ALLOC_SLACK: u64 = 16;
+
+/// Allowed absolute growth in the connection search's heap allocations
+/// per expanded node.
+pub const ALLOCS_PER_NODE_SLACK: f64 = 0.25;
 
 /// Renders a scalar for keys and findings: numbers as their exact
 /// source text, strings unquoted.
@@ -149,7 +155,14 @@ fn ratio_floor(
     }
 }
 
-fn alloc_ceiling(line: &str, base: &Json, fresh: &Json, path: &str, out: &mut Vec<Finding>) {
+fn alloc_ceiling(
+    line: &str,
+    base: &Json,
+    fresh: &Json,
+    path: &str,
+    slack: f64,
+    out: &mut Vec<Finding>,
+) {
     let (Some(b), Some(f)) = (
         lookup(base, path).and_then(Json::as_f64),
         lookup(fresh, path).and_then(Json::as_f64),
@@ -162,14 +175,12 @@ fn alloc_ceiling(line: &str, base: &Json, fresh: &Json, path: &str, out: &mut Ve
         });
         return;
     };
-    if f > b + ALLOC_SLACK as f64 {
+    if f > b + slack {
         out.push(Finding {
             line: line.into(),
             field: path.into(),
             severity: Severity::Threshold,
-            detail: format!(
-                "fresh {f:.0} allocations exceed baseline {b:.0} + slack {ALLOC_SLACK}"
-            ),
+            detail: format!("fresh {f} allocations exceed baseline {b} + slack {slack}"),
         });
     }
 }
@@ -260,7 +271,57 @@ pub fn compare_probe(baseline: &str, fresh: &str) -> Result<Vec<Finding>, String
             hard_compare(k, b, f, path, &mut findings);
         }
         ratio_floor(k, b, f, "speedup", SPEEDUP_RATIO_FLOOR, &mut findings);
-        alloc_ceiling(k, b, f, "trail.allocations", &mut findings);
+        alloc_ceiling(
+            k,
+            b,
+            f,
+            "trail.allocations",
+            ALLOC_SLACK as f64,
+            &mut findings,
+        );
+    }
+    Ok(findings)
+}
+
+/// Diffs a fresh `BENCH_connect.json` against the committed baseline.
+///
+/// Hard fields: node, prune and backtrack counts, the node-sequence
+/// digest and the connection's buses and pins of both the trail search
+/// and the clone reference, and the `agree` verdict. Threshold fields:
+/// the trail search's `allocs_per_node` (ceiling: baseline plus
+/// [`ALLOCS_PER_NODE_SLACK`]) and the within-run trail-over-clone
+/// `speedup` (floor [`SPEEDUP_RATIO_FLOOR`] of baseline). Absolute wall
+/// times are never compared.
+///
+/// # Errors
+///
+/// A parse error on malformed input in either file.
+pub fn compare_connect(baseline: &str, fresh: &str) -> Result<Vec<Finding>, String> {
+    let (pairs, mut findings) = matched_lines(baseline, fresh, "design")?;
+    for (k, b, f) in &pairs {
+        hard_compare(k, b, f, "rate", &mut findings);
+        for side in ["trail", "clone"] {
+            for field in [
+                "nodes",
+                "prunes",
+                "backtracks",
+                "sequence_digest",
+                "buses",
+                "pins",
+            ] {
+                hard_compare(k, b, f, &format!("{side}.{field}"), &mut findings);
+            }
+        }
+        hard_compare(k, b, f, "agree", &mut findings);
+        alloc_ceiling(
+            k,
+            b,
+            f,
+            "trail.allocs_per_node",
+            ALLOCS_PER_NODE_SLACK,
+            &mut findings,
+        );
+        ratio_floor(k, b, f, "speedup", SPEEDUP_RATIO_FLOOR, &mut findings);
     }
     Ok(findings)
 }
@@ -456,6 +517,57 @@ mod tests {
     fn missing_design_line_is_hard() {
         let findings = compare_probe(PROBE_BASE, "").unwrap();
         assert!(findings.iter().any(|f| f.severity == Severity::Hard));
+    }
+
+    const CONNECT_BASE: &str = "{\"bench\":\"connect\",\"design\":\"mesh6\",\"rate\":4,\
+        \"trail\":{\"nodes\":1000,\"prunes\":20,\"backtracks\":990,\
+        \"sequence_digest\":12501005524302218597,\"buses\":9,\"pins\":180,\
+        \"allocations\":100,\"allocs_per_node\":0.100,\"wall_ms\":10.000},\
+        \"clone\":{\"nodes\":1000,\"prunes\":20,\"backtracks\":990,\
+        \"sequence_digest\":12501005524302218597,\"buses\":9,\"pins\":180,\
+        \"allocations\":20000,\"allocs_per_node\":20.000,\"wall_ms\":45.000},\
+        \"agree\":true,\"speedup\":4.50}";
+
+    #[test]
+    fn identical_connect_lines_produce_no_findings() {
+        assert!(compare_connect(CONNECT_BASE, CONNECT_BASE)
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn connect_node_sequence_change_is_hard() {
+        let fresh = CONNECT_BASE.replacen("12501005524302218597", "12501005524302218598", 1);
+        let findings = compare_connect(CONNECT_BASE, &fresh).unwrap();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].field, "trail.sequence_digest");
+        assert_eq!(findings[0].severity, Severity::Hard);
+        let fresh = CONNECT_BASE.replace("\"backtracks\":990", "\"backtracks\":991");
+        let findings = compare_connect(CONNECT_BASE, &fresh).unwrap();
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings.iter().all(|f| f.severity == Severity::Hard));
+    }
+
+    #[test]
+    fn connect_wall_time_is_ignored_but_regressions_trip() {
+        let fresh = CONNECT_BASE
+            .replace("\"wall_ms\":10.000", "\"wall_ms\":30.000")
+            .replace("\"wall_ms\":45.000", "\"wall_ms\":120.000")
+            .replace("\"speedup\":4.50", "\"speedup\":4.00");
+        assert!(compare_connect(CONNECT_BASE, &fresh).unwrap().is_empty());
+        let slowed = CONNECT_BASE.replace("\"speedup\":4.50", "\"speedup\":2.25");
+        let findings = compare_connect(CONNECT_BASE, &slowed).unwrap();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].severity, Severity::Threshold);
+        assert_eq!(findings[0].field, "speedup");
+        let churn = CONNECT_BASE.replace(
+            "\"allocations\":100,\"allocs_per_node\":0.100",
+            "\"allocations\":1000,\"allocs_per_node\":1.000",
+        );
+        let findings = compare_connect(CONNECT_BASE, &churn).unwrap();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].severity, Severity::Threshold);
+        assert_eq!(findings[0].field, "trail.allocs_per_node");
     }
 
     const FUZZ_BASE: &str = "{\"bench\":\"fuzz\",\"config\":\"default\",\"seeds\":200,\

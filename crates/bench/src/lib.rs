@@ -5,10 +5,13 @@
 //! binary prints them; the Criterion benches measure the synthesis run
 //! time of the same experiments.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compare;
+mod counting_alloc;
+
+pub use counting_alloc::CountingAlloc;
 
 use std::fmt::Write as _;
 
@@ -911,6 +914,93 @@ pub fn search_stats_line(
     out
 }
 
+/// One measured connection search — the trail search or the clone-per-step
+/// reference on one design — as consumed by [`connect_bench_line`].
+#[derive(Clone, Debug)]
+pub struct MeasuredConnect {
+    /// Nodes expanded.
+    pub nodes: u64,
+    /// Candidates cut by the dead-end test.
+    pub prunes: u64,
+    /// Nodes popped after exhausting their candidates.
+    pub backtracks: u64,
+    /// The search's node-sequence digest
+    /// ([`mcs_connect::SearchStats::sequence_digest`]).
+    pub sequence_digest: u64,
+    /// Buses of the connection found (0 when none was).
+    pub buses: u32,
+    /// Total pins of the connection found.
+    pub pins: u32,
+    /// Heap allocations during one search.
+    pub allocations: u64,
+    /// Best wall time over the repetitions, milliseconds.
+    pub wall_ms: f64,
+}
+
+impl MeasuredConnect {
+    fn allocs_per_node(&self) -> f64 {
+        self.allocations as f64 / self.nodes.max(1) as f64
+    }
+}
+
+fn emit_connect(out: &mut String, label: &str, m: &MeasuredConnect) {
+    let _ = write!(
+        out,
+        "\"{label}\":{{\"nodes\":{},\"prunes\":{},\"backtracks\":{},\
+         \"sequence_digest\":{},\"buses\":{},\"pins\":{},\"allocations\":{},\
+         \"allocs_per_node\":{:.3},\"wall_ms\":{:.3}}}",
+        m.nodes,
+        m.prunes,
+        m.backtracks,
+        m.sequence_digest,
+        m.buses,
+        m.pins,
+        m.allocations,
+        m.allocs_per_node(),
+        m.wall_ms,
+    );
+}
+
+/// Renders one `bench_connect` BENCH line: the trail search against the
+/// clone-per-step reference on one design. `agree` is the differential
+/// gate — node counts, sequence digests and the connection's buses and
+/// pins must all match, and the `bench_connect` binary exits nonzero
+/// when they do not. `speedup` is the reference's wall time over the
+/// trail search's. Golden-tested, like [`search_stats_line`].
+pub fn connect_bench_line(
+    design: &str,
+    rate: u32,
+    trail: &MeasuredConnect,
+    clone: &MeasuredConnect,
+) -> String {
+    let mut out = format!("{{\"bench\":\"connect\",\"design\":\"{design}\",\"rate\":{rate},");
+    emit_connect(&mut out, "trail", trail);
+    out.push(',');
+    emit_connect(&mut out, "clone", clone);
+    let agree = (
+        trail.nodes,
+        trail.prunes,
+        trail.backtracks,
+        trail.sequence_digest,
+        trail.buses,
+        trail.pins,
+    ) == (
+        clone.nodes,
+        clone.prunes,
+        clone.backtracks,
+        clone.sequence_digest,
+        clone.buses,
+        clone.pins,
+    );
+    let speedup = if trail.wall_ms > 0.0 {
+        clone.wall_ms / trail.wall_ms
+    } else {
+        0.0
+    };
+    let _ = write!(out, ",\"agree\":{agree},\"speedup\":{speedup:.2}}}");
+    out
+}
+
 /// Repeat-design (warm-tier) p50 latency must be at least this many
 /// times below cold-path p50 — the `bench_serve` acceptance gate.
 pub const SERVE_SPEEDUP_FLOOR: f64 = 10.0;
@@ -1203,6 +1293,43 @@ mod tests {
         assert_eq!(frontier_digest(&[p(4, 10)]), frontier_digest(&[p(4, 10)]));
         assert_ne!(frontier_digest(&[p(4, 10)]), frontier_digest(&[p(5, 10)]));
         assert_ne!(frontier_digest(&[]), frontier_digest(&[p(4, 10)]));
+    }
+
+    #[test]
+    fn connect_bench_line_matches_golden_output() {
+        let trail = MeasuredConnect {
+            nodes: 1000,
+            prunes: 20,
+            backtracks: 990,
+            sequence_digest: 12501005524302218597,
+            buses: 9,
+            pins: 180,
+            allocations: 250,
+            wall_ms: 10.0,
+        };
+        let clone = MeasuredConnect {
+            allocations: 9000,
+            wall_ms: 45.0,
+            ..trail.clone()
+        };
+        let line = connect_bench_line("mesh6", 4, &trail, &clone);
+        assert_eq!(
+            line,
+            "{\"bench\":\"connect\",\"design\":\"mesh6\",\"rate\":4,\
+             \"trail\":{\"nodes\":1000,\"prunes\":20,\"backtracks\":990,\
+             \"sequence_digest\":12501005524302218597,\"buses\":9,\"pins\":180,\
+             \"allocations\":250,\"allocs_per_node\":0.250,\"wall_ms\":10.000},\
+             \"clone\":{\"nodes\":1000,\"prunes\":20,\"backtracks\":990,\
+             \"sequence_digest\":12501005524302218597,\"buses\":9,\"pins\":180,\
+             \"allocations\":9000,\"allocs_per_node\":9.000,\"wall_ms\":45.000},\
+             \"agree\":true,\"speedup\":4.50}"
+        );
+        mcs_ctl::json::parse(&line).expect("BENCH line is strict JSON");
+        let diverged = MeasuredConnect {
+            sequence_digest: 1,
+            ..clone
+        };
+        assert!(connect_bench_line("mesh6", 4, &trail, &diverged).contains("\"agree\":false"));
     }
 
     #[test]

@@ -31,6 +31,8 @@ pub mod bounds;
 pub mod dot;
 pub mod ilp_model;
 pub mod model;
+#[doc(hidden)]
+pub mod oracle;
 pub mod portfolio;
 pub mod search;
 

@@ -138,24 +138,6 @@ impl Bus {
             }
         }
     }
-
-    /// Topology signature: the partitions on the output and input sides
-    /// (Section 4.1.2: buses with the same topology are explored once).
-    pub fn topology(&self) -> (Vec<PartitionId>, Vec<PartitionId>) {
-        let outs: Vec<_> = self
-            .out_ports
-            .keys()
-            .chain(self.bi_ports.keys())
-            .copied()
-            .collect();
-        let ins: Vec<_> = self
-            .in_ports
-            .keys()
-            .chain(self.bi_ports.keys())
-            .copied()
-            .collect();
-        (outs, ins)
-    }
 }
 
 /// An I/O-operation-to-bus assignment.
@@ -328,9 +310,6 @@ mod tests {
         assert_eq!(bus.pins_of(p(2)), 8);
         assert_eq!(bus.pins_of(p(4)), 0);
         assert_eq!(bus.connected(), vec![p(1), p(2), p(3)]);
-        let (outs, ins) = bus.topology();
-        assert_eq!(outs, vec![p(1)]);
-        assert_eq!(ins, vec![p(2), p(3)]);
     }
 
     #[test]

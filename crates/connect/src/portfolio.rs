@@ -50,8 +50,8 @@ use mcs_pinalloc::PinChecker;
 
 use crate::model::Interconnect;
 use crate::search::{
-    apply_move, candidate_moves, future_feasible, initial_state, share_pass, total_pins,
-    ConnectError, Move, SearchConfig, State,
+    apply_move, candidate_moves, fold_node, future_feasible, share_pass, total_pins, ConnectError,
+    Move, SearchConfig, State, Transfer, Undo, Windows, SEQUENCE_BASIS,
 };
 
 /// The order in which I/O operations are fed to the branching search.
@@ -438,38 +438,6 @@ impl SharedCache {
     }
 }
 
-/// A search state's identity for pruning: the depth (which, for a fixed
-/// operation order, pins down the set of assigned operations) plus the
-/// exact bus structure — widths, per-partition port widths, and the
-/// values riding each bus with their sub-ranges. Everything the future
-/// search can observe is derived from these, so two states with equal
-/// signatures have identical subtrees under the same plan.
-fn state_sig(state: &State, depth: usize) -> Vec<u8> {
-    let mut sig = Vec::with_capacity(32 + state.buses.len() * 48);
-    sig.extend_from_slice(&(depth as u32).to_le_bytes());
-    for (bus, values) in state.buses.iter().zip(&state.bus_values) {
-        sig.push(0xB5);
-        sig.push(bus.sub_widths.len() as u8);
-        for &w in &bus.sub_widths {
-            sig.extend_from_slice(&w.to_le_bytes());
-        }
-        for ports in [&bus.out_ports, &bus.in_ports, &bus.bi_ports] {
-            sig.push(ports.len() as u8);
-            for (&p, &w) in ports {
-                sig.extend_from_slice(&p.0.to_le_bytes());
-                sig.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        sig.push(values.len() as u8);
-        for (&v, r) in values {
-            sig.extend_from_slice(&v.0.to_le_bytes());
-            sig.push(r.lo as u8);
-            sig.push(r.hi as u8);
-        }
-    }
-    sig
-}
-
 /// Where a worker ended up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerOutcome {
@@ -533,6 +501,10 @@ pub struct WorkerReport {
     /// Bus count of that deepest partial structure — the "best so far"
     /// an interrupted run can report.
     pub deepest_buses: u32,
+    /// FNV-1a fold of `(depth, chosen bus, range)` over every node the
+    /// worker expanded, in order: two searches with equal digests walked
+    /// the same node sequence.
+    pub sequence_digest: u64,
 }
 
 /// Telemetry for a whole portfolio run.
@@ -583,6 +555,14 @@ impl SearchStats {
             0.0
         }
     }
+
+    /// The node sequences of all workers, folded in portfolio order (see
+    /// [`WorkerReport::sequence_digest`]).
+    pub fn sequence_digest(&self) -> u64 {
+        self.workers.iter().fold(SEQUENCE_BASIS, |h, w| {
+            (h ^ w.sequence_digest).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -596,13 +576,16 @@ enum WorkerStatus {
 
 /// One suspended node of the iterative backtracking search.
 struct Frame {
-    /// State at node entry; candidate application and backtracking
-    /// restore from it.
-    saved: State,
     /// Signature to publish if the whole subtree fails (cache runs only).
     key: Option<Vec<u8>>,
-    moves: Vec<Move>,
+    /// This node's candidates: `moves[start..end]` of the worker's move
+    /// stack.
+    start: usize,
+    end: usize,
     next: usize,
+    /// The candidate currently applied to the worker's state, rolled back
+    /// before the next one is tried and when the frame pops.
+    applied: Option<Undo>,
 }
 
 /// A resumable worker: the recursive search of Figure 4.3 unrolled onto
@@ -613,15 +596,21 @@ struct Frame {
 /// the classic search.
 struct Worker<'a> {
     cdfg: &'a Cdfg,
-    mode: PortMode,
     rate: u32,
     allow_split: bool,
     plan: WorkerPlan,
     strength: Strength,
     cache_enabled: bool,
     ops: Vec<OpId>,
+    /// `ops` as the search reads them, by position.
+    transfers: Vec<Transfer>,
+    windows: Windows,
     state: State,
     stack: Vec<Frame>,
+    /// Candidates of every frame on the stack, in stack order.
+    moves: Vec<Move>,
+    /// Scratch space for scoring a node's candidates.
+    scored: Vec<Move>,
     budget_left: usize,
     /// Next step enters a fresh node at depth `stack.len()`.
     entering: bool,
@@ -638,6 +627,7 @@ struct Worker<'a> {
     staged: Vec<(Vec<u8>, Strength)>,
     result: Option<(Interconnect, (u32, u32))>,
     wall: Duration,
+    sequence_digest: u64,
     /// Deepest depth entered and the bus count of the state there — the
     /// worker's best partial connection, reported when a budget stops
     /// the run before anyone finishes.
@@ -660,10 +650,10 @@ impl<'a> Worker<'a> {
         cache_enabled: bool,
     ) -> Self {
         let ops = ordered_ops(cdfg, plan.order, cfg.rate);
-        let state = initial_state(cdfg, cfg.rate, &ops);
+        let transfers: Vec<Transfer> = ops.iter().map(|&op| Transfer::of(cdfg, op)).collect();
+        let state = State::new(cdfg, mode, &transfers);
         Worker {
             cdfg,
-            mode,
             rate: cfg.rate,
             allow_split: cfg.allow_split,
             strength: Strength {
@@ -675,8 +665,12 @@ impl<'a> Worker<'a> {
             plan,
             cache_enabled,
             ops,
+            transfers,
+            windows: mcs_cdfg::timing::feedback_group_windows(cdfg, cfg.rate),
             state,
             stack: Vec::new(),
+            moves: Vec::new(),
+            scored: Vec::new(),
             entering: true,
             resuming: false,
             status: WorkerStatus::Running,
@@ -689,6 +683,7 @@ impl<'a> Worker<'a> {
             staged: Vec::new(),
             result: None,
             wall: Duration::ZERO,
+            sequence_digest: SEQUENCE_BASIS,
             deepest: 0,
             deepest_buses: 0,
             metrics: cfg.metrics.clone(),
@@ -729,14 +724,10 @@ impl<'a> Worker<'a> {
         let depth = self.stack.len();
         if depth > self.deepest {
             self.deepest = depth;
-            self.deepest_buses = self.state.buses.len() as u32;
+            self.deepest_buses = self.state.buses as u32;
         }
         if depth == self.ops.len() {
-            let mut ic = Interconnect {
-                mode: self.mode,
-                buses: self.state.buses.clone(),
-                assignment: self.state.assignment.clone(),
-            };
+            let mut ic = self.state.interconnect(&self.ops);
             if self.allow_split {
                 share_pass(self.cdfg, &mut ic, self.rate);
             }
@@ -752,8 +743,10 @@ impl<'a> Worker<'a> {
         self.budget_left -= 1;
         *expanded += 1;
         self.nodes += 1;
+        let incoming = self.stack.last().map(|f| &self.moves[f.next - 1]);
+        self.sequence_digest = fold_node(self.sequence_digest, depth, incoming);
         let key = if self.cache_enabled {
-            Some(state_sig(&self.state, depth))
+            Some(self.state.signature(depth))
         } else {
             None
         };
@@ -769,20 +762,22 @@ impl<'a> Worker<'a> {
                 return;
             }
         }
-        let moves = candidate_moves(
-            self.cdfg,
-            self.mode,
-            self.rate,
-            self.plan.branching_factor,
-            self.plan.candidates,
+        let start = self.moves.len();
+        candidate_moves(
             &self.state,
-            self.ops[depth],
+            &self.windows,
+            self.rate,
+            &self.plan,
+            &self.transfers[depth],
+            &mut self.scored,
+            &mut self.moves,
         );
         self.stack.push(Frame {
-            saved: self.state.clone(),
             key,
-            moves,
-            next: 0,
+            start,
+            end: self.moves.len(),
+            next: start,
+            applied: None,
         });
         self.entering = false;
     }
@@ -804,17 +799,19 @@ impl<'a> Worker<'a> {
                 return;
             }
         }
-        let op = self.ops[depth - 1];
+        let pos = depth - 1;
         loop {
             let frame = self.stack.last_mut().expect("non-empty stack");
-            if frame.next >= frame.moves.len() {
+            if let Some(undo) = frame.applied.take() {
+                self.state.undo(&undo);
+            }
+            if frame.next >= frame.end {
                 break;
             }
-            let mv = frame.moves[frame.next].clone();
+            let mv = self.moves[frame.next];
             frame.next += 1;
-            self.state = frame.saved.clone();
-            apply_move(self.cdfg, self.mode, &mut self.state, op, &mv);
-            if future_feasible(self.cdfg, self.mode, &self.state, &self.ops[depth..]) {
+            frame.applied = Some(apply_move(&mut self.state, pos, &self.transfers[pos], &mv));
+            if future_feasible(&self.state, &self.transfers[depth..]) {
                 self.entering = true;
                 return;
             }
@@ -825,12 +822,12 @@ impl<'a> Worker<'a> {
             }
         }
         let frame = self.stack.pop().expect("non-empty stack");
+        self.moves.truncate(frame.start);
         self.backtracks += 1;
         if let Some(key) = frame.key {
             self.staged.push((key, self.strength));
             self.published += 1;
         }
-        self.state = frame.saved;
         self.child_failed();
     }
 
@@ -878,6 +875,7 @@ impl<'a> Worker<'a> {
             cost: self.result.as_ref().map(|(_, c)| *c),
             deepest: self.deepest as u64,
             deepest_buses: self.deepest_buses,
+            sequence_digest: self.sequence_digest,
         }
     }
 }

@@ -14,11 +14,17 @@
 //!
 //! The branching factor trades run time against the chance of finding a
 //! connection; exploration is additionally capped by a node budget. With
-//! sub-bus sharing enabled, assignment may also split an unsplit bus in
-//! two when the incoming transfer fits beside a previously assigned one
-//! (the prototype's at-most-two-sub-buses restriction, Section 6.1.2).
+//! sub-bus sharing enabled, [`share_pass`] then moves transfers onto
+//! sub-buses of a finished structure, splitting an unsplit bus in two
+//! when the incoming transfer fits beside a previously assigned one (the
+//! prototype's at-most-two-sub-buses restriction, Section 6.1.2).
+//!
+//! The search keeps one working state and changes it in place: every
+//! applied move returns a fixed-size undo record, and backtracking
+//! replays those records instead of restoring a saved copy (the trail
+//! discipline of the Chapter 3 probe engine).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use mcs_cdfg::{BusId, Cdfg, OpId, PartitionId, PortMode, ValueId};
 
@@ -177,83 +183,279 @@ impl std::fmt::Display for ConnectError {
 
 impl std::error::Error for ConnectError {}
 
-#[derive(Clone)]
+/// Static group windows of feedback values (Section 7.1): a bus can only
+/// host value sets whose windows admit distinct step groups.
+pub(crate) type Windows = BTreeMap<ValueId, BTreeSet<u32>>;
+
+/// One I/O operation as the search sees it: the value it carries, its
+/// endpoints and its width, looked up once per search.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Transfer {
+    pub(crate) value: ValueId,
+    pub(crate) from: PartitionId,
+    pub(crate) to: PartitionId,
+    pub(crate) bits: u32,
+}
+
+impl Transfer {
+    pub(crate) fn of(cdfg: &Cdfg, op: OpId) -> Transfer {
+        let (value, from, to) = cdfg.op(op).io_endpoints().expect("io op");
+        Transfer {
+            value,
+            from,
+            to,
+            bits: cdfg.value(value).bits,
+        }
+    }
+}
+
+/// The range every search move rides: buses stay unsplit during the
+/// search (Chapter 6 splitting happens only in [`share_pass`]), so a
+/// transfer always occupies the low-order lines of the whole bus.
+const WHOLE: SubRange = SubRange { lo: 0, hi: 0 };
+
+/// The search's working connection structure. [`apply_move`] changes it
+/// in place and [`State::undo`] rolls a move back, so a search node never
+/// copies it. Buses are unsplit (see [`WHOLE`]): a bus is a width, one
+/// dense port-width row per side, and the values riding it.
+#[derive(Clone, Debug)]
 pub(crate) struct State {
-    pub(crate) buses: Vec<Bus>,
-    /// Values riding each bus and their sub-ranges.
-    pub(crate) bus_values: Vec<BTreeMap<ValueId, SubRange>>,
-    pub(crate) assignment: BTreeMap<OpId, BusAssignment>,
-    pub(crate) pins_left: Vec<i64>,
-    pub(crate) demand_left: Vec<i64>,
-    /// Static group windows of feedback values (Section 7.1): a bus can
-    /// only host value sets whose windows admit distinct step groups.
-    pub(crate) windows: BTreeMap<ValueId, std::collections::BTreeSet<u32>>,
+    mode: PortMode,
+    nparts: usize,
+    /// Live buses. Slots from here on are empty and keep their
+    /// allocations for the next fresh bus.
+    pub(crate) buses: usize,
+    widths: Vec<u32>,
+    /// Port widths indexed by `bus * nparts + partition`, 0 meaning not
+    /// connected. Side 0 holds the output ports (the bidirectional ports
+    /// in bidirectional mode), side 1 the input ports.
+    ports: [Vec<u32>; 2],
+    /// Values riding each bus, ascending.
+    values: Vec<Vec<ValueId>>,
+    /// Assignment of each operation, by position in the search order.
+    assignment: Vec<Option<BusAssignment>>,
+    pins_left: Vec<i64>,
+    demand_left: Vec<i64>,
 }
 
-/// Builds the root search state: empty connection structure, full pin
-/// budgets, per-partition bit demand, and feedback group windows.
-pub(crate) fn initial_state(cdfg: &Cdfg, rate: u32, ops: &[OpId]) -> State {
-    let nparts = cdfg.partition_count();
-    let mut pins_left = vec![0i64; nparts];
-    let mut demand_left = vec![0i64; nparts];
-    for (pi, part) in cdfg.partitions().iter().enumerate() {
-        pins_left[pi] = part.total_pins as i64;
+/// Everything [`apply_move`] overwrote, so [`State::undo`] can put it
+/// back. Entries are restored in reverse order, which stays exact when a
+/// transfer's two endpoints share a slot.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Undo {
+    bus: usize,
+    fresh: bool,
+    width: u32,
+    /// `(side, slot, old width)` of the two endpoint ports.
+    ports: [(usize, usize, u32); 2],
+    /// Where the value was inserted, when it did not ride the bus yet.
+    value_slot: Option<usize>,
+    pos: usize,
+    assignment: Option<BusAssignment>,
+    ends: [usize; 2],
+    pins_left: [i64; 2],
+    demand_left: [i64; 2],
+}
+
+impl State {
+    /// The root state: no buses, full pin budgets, and the bit demand of
+    /// `transfers` on each partition. Bus slots are allocated up front:
+    /// each transfer opens at most one bus.
+    pub(crate) fn new(cdfg: &Cdfg, mode: PortMode, transfers: &[Transfer]) -> State {
+        let nparts = cdfg.partition_count();
+        let cap = transfers.len();
+        let pins_left = cdfg
+            .partitions()
+            .iter()
+            .map(|part| part.total_pins as i64)
+            .collect();
+        let mut demand_left = vec![0i64; nparts];
+        for t in transfers {
+            demand_left[t.from.index()] += t.bits as i64;
+            demand_left[t.to.index()] += t.bits as i64;
+        }
+        State {
+            mode,
+            nparts,
+            buses: 0,
+            widths: vec![0; cap],
+            ports: [vec![0; cap * nparts], vec![0; cap * nparts]],
+            values: vec![Vec::new(); cap],
+            assignment: vec![None; cap],
+            pins_left,
+            demand_left,
+        }
     }
-    for &op in ops {
-        let (_, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-        let bits = cdfg.io_bits(op) as i64;
-        demand_left[from.index()] += bits;
-        demand_left[to.index()] += bits;
+
+    /// `(side, slot)` of the sending and the receiving port `t` needs on
+    /// bus `h`.
+    fn endpoint_slots(&self, h: usize, t: &Transfer) -> [(usize, usize); 2] {
+        let side_to = match self.mode {
+            PortMode::Unidirectional => 1,
+            PortMode::Bidirectional => 0,
+        };
+        [
+            (0, h * self.nparts + t.from.index()),
+            (side_to, h * self.nparts + t.to.index()),
+        ]
     }
-    State {
-        buses: Vec::new(),
-        bus_values: Vec::new(),
-        assignment: BTreeMap::new(),
-        pins_left,
-        demand_left,
-        windows: mcs_cdfg::timing::feedback_group_windows(cdfg, rate),
+
+    /// Current widths of the two ports `t` needs on bus `h`.
+    fn endpoint_widths(&self, h: usize, t: &Transfer) -> [u32; 2] {
+        self.endpoint_slots(h, t)
+            .map(|(side, slot)| self.ports[side][slot])
+    }
+
+    /// Whether buses `a` and `b` connect the same partitions on each side
+    /// (Section 4.1.2: buses with the same topology are explored once).
+    fn same_topology(&self, a: usize, b: usize) -> bool {
+        let n = self.nparts;
+        self.ports.iter().all(|side| {
+            side[a * n..(a + 1) * n]
+                .iter()
+                .zip(&side[b * n..(b + 1) * n])
+                .all(|(&x, &y)| (x > 0) == (y > 0))
+        })
+    }
+
+    /// Rolls back the move that returned `u`.
+    pub(crate) fn undo(&mut self, u: &Undo) {
+        for i in [1, 0] {
+            self.demand_left[u.ends[i]] = u.demand_left[i];
+            self.pins_left[u.ends[i]] = u.pins_left[i];
+            let (side, slot, old) = u.ports[i];
+            self.ports[side][slot] = old;
+        }
+        self.assignment[u.pos] = u.assignment;
+        if let Some(i) = u.value_slot {
+            self.values[u.bus].remove(i);
+        }
+        self.widths[u.bus] = u.width;
+        if u.fresh {
+            self.buses -= 1;
+        }
+    }
+
+    /// The connection structure of a complete search path; `ops` is the
+    /// search order the assignment is indexed by.
+    pub(crate) fn interconnect(&self, ops: &[OpId]) -> Interconnect {
+        let n = self.nparts;
+        let row = |side: usize, h: usize| -> BTreeMap<PartitionId, u32> {
+            (0..n)
+                .filter(|&p| self.ports[side][h * n + p] > 0)
+                .map(|p| (PartitionId::new(p as u32), self.ports[side][h * n + p]))
+                .collect()
+        };
+        let buses = (0..self.buses)
+            .map(|h| {
+                let mut bus = Bus::new();
+                bus.sub_widths = vec![self.widths[h]];
+                match self.mode {
+                    PortMode::Unidirectional => {
+                        bus.out_ports = row(0, h);
+                        bus.in_ports = row(1, h);
+                    }
+                    PortMode::Bidirectional => bus.bi_ports = row(0, h),
+                }
+                bus
+            })
+            .collect();
+        let assignment = ops
+            .iter()
+            .zip(&self.assignment)
+            .filter_map(|(&op, a)| a.map(|a| (op, a)))
+            .collect();
+        Interconnect {
+            mode: self.mode,
+            buses,
+            assignment,
+        }
+    }
+
+    /// A search state's identity for pruning: the depth (which, for a
+    /// fixed operation order, pins down the set of assigned operations)
+    /// plus the exact bus structure — widths, per-partition port widths in
+    /// the output, input and bidirectional roles, and the values riding
+    /// each bus. Everything the future search can observe is derived from
+    /// these, so two states with equal signatures have identical subtrees
+    /// under the same plan. Every list is prefixed with its `u32` length,
+    /// so the encoding is injective. The buffer is sized exactly: the
+    /// refutation cache, and the serve cache after it, keep every
+    /// learned signature.
+    pub(crate) fn signature(&self, depth: usize) -> Vec<u8> {
+        let n = self.nparts;
+        let ports: usize = self
+            .ports
+            .iter()
+            .map(|side| side[..self.buses * n].iter().filter(|&&w| w > 0).count())
+            .sum();
+        let values: usize = self.values[..self.buses].iter().map(Vec::len).sum();
+        let mut sig = Vec::with_capacity(4 + 21 * self.buses + 8 * ports + 4 * values);
+        let push = |sig: &mut Vec<u8>, x: usize| sig.extend_from_slice(&(x as u32).to_le_bytes());
+        push(&mut sig, depth);
+        let roles: [Option<usize>; 3] = match self.mode {
+            PortMode::Unidirectional => [Some(0), Some(1), None],
+            PortMode::Bidirectional => [None, None, Some(0)],
+        };
+        for h in 0..self.buses {
+            sig.push(0xB5);
+            push(&mut sig, self.widths[h] as usize);
+            for role in roles {
+                let row = role.map_or(&[][..], |side| &self.ports[side][h * n..(h + 1) * n]);
+                push(&mut sig, row.iter().filter(|&&w| w > 0).count());
+                for (p, &w) in row.iter().enumerate().filter(|(_, &w)| w > 0) {
+                    push(&mut sig, p);
+                    push(&mut sig, w as usize);
+                }
+            }
+            push(&mut sig, self.values[h].len());
+            for v in &self.values[h] {
+                push(&mut sig, v.0 as usize);
+            }
+        }
+        sig
     }
 }
 
-/// Can every value get its own step group, respecting feedback windows?
-/// A tiny augmenting-path matching of values to groups. Buses carrying a
-/// feedback value additionally keep one spare group: the static windows
-/// underestimate how far resource contention pushes the real ones, and a
-/// fully packed bus leaves the preloaded transfer no room to maneuver.
+/// Can every value riding a bus, plus `newcomer`, get its own step group,
+/// respecting feedback windows? A tiny augmenting-path matching of values
+/// to groups. Buses carrying a feedback value additionally keep one spare
+/// group: the static windows underestimate how far resource contention
+/// pushes the real ones, and a fully packed bus leaves the preloaded
+/// transfer no room to maneuver. Without feedback values every group
+/// admits every value, so the count alone decides.
 pub(crate) fn groups_assignable(
-    values: &[ValueId],
-    windows: &BTreeMap<ValueId, std::collections::BTreeSet<u32>>,
+    riders: &[ValueId],
+    newcomer: ValueId,
+    windows: &Windows,
     l: u32,
 ) -> bool {
-    let has_feedback = values.iter().any(|v| windows.contains_key(v));
-    let cap = if has_feedback {
-        (l as usize).saturating_sub(1)
-    } else {
-        l as usize
-    };
-    if values.len() > cap {
+    let count = riders.len() + 1;
+    if !windows.contains_key(&newcomer) && !riders.iter().any(|v| windows.contains_key(v)) {
+        return count <= l as usize;
+    }
+    if count > (l as usize).saturating_sub(1) {
         return false;
     }
-    let mut owner: Vec<Option<usize>> = vec![None; l as usize];
+    let values: Vec<ValueId> = riders.iter().copied().chain([newcomer]).collect();
+    let any_group: BTreeSet<u32> = (0..l).collect();
     fn try_give(
         i: usize,
         values: &[ValueId],
-        windows: &BTreeMap<ValueId, std::collections::BTreeSet<u32>>,
-        l: u32,
-        owner: &mut Vec<Option<usize>>,
-        seen: &mut Vec<bool>,
+        windows: &Windows,
+        any_group: &BTreeSet<u32>,
+        owner: &mut [Option<usize>],
+        seen: &mut [bool],
     ) -> bool {
-        let all: std::collections::BTreeSet<u32> = (0..l).collect();
-        let groups = windows.get(&values[i]).unwrap_or(&all).clone();
-        for g in groups {
+        for &g in windows.get(&values[i]).unwrap_or(any_group) {
             let g = g as usize;
-            if g >= l as usize || seen[g] {
+            if g >= owner.len() || seen[g] {
                 continue;
             }
             seen[g] = true;
             let free = match owner[g] {
                 None => true,
-                Some(j) => try_give(j, values, windows, l, owner, seen),
+                Some(j) => try_give(j, values, windows, any_group, owner, seen),
             };
             if free {
                 owner[g] = Some(i);
@@ -262,23 +464,33 @@ pub(crate) fn groups_assignable(
         }
         false
     }
-    for i in 0..values.len() {
+    let mut owner = vec![None; l as usize];
+    (0..count).all(|i| {
         let mut seen = vec![false; l as usize];
-        if !try_give(i, values, windows, l, &mut owner, &mut seen) {
-            return false;
-        }
-    }
-    true
+        try_give(i, &values, windows, &any_group, &mut owner, &mut seen)
+    })
 }
 
-#[derive(Clone, Debug)]
+/// One candidate assignment of a transfer: onto bus `bus` (`== buses`
+/// means a fresh bus) at `range`, with its gain.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Move {
-    /// Bus index; `== buses.len()` means a fresh bus.
     pub(crate) bus: usize,
-    /// Replace the bus's sub-widths before assigning (a Chapter 6 split).
-    pub(crate) split_into: Option<Vec<u32>>,
     pub(crate) range: SubRange,
     pub(crate) gain: f64,
+}
+
+/// FNV-1a basis of the node-sequence digest.
+pub(crate) const SEQUENCE_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one expanded node into a node-sequence digest: its depth and
+/// the move that led to it (the root, which no move leads to, folds
+/// `u64::MAX` as its bus).
+pub(crate) fn fold_node(digest: u64, depth: usize, incoming: Option<&Move>) -> u64 {
+    let (bus, range) = incoming.map_or((u64::MAX, WHOLE), |m| (m.bus as u64, m.range));
+    [depth as u64, bus, range.lo as u64, range.hi as u64]
+        .into_iter()
+        .fold(digest, |h, x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// Synthesizes the interchip connection structure for all I/O operations
@@ -364,9 +576,8 @@ pub fn share_pass(cdfg: &Cdfg, ic: &mut Interconnect, rate: u32) {
                     // scheduler may still exploit, the pruned-search
                     // spirit of Section 6.2), and feedback values must
                     // keep a cycle inside their static group windows.
-                    let mut joined: Vec<ValueId> = vals.keys().copied().collect();
-                    joined.push(value);
-                    if !groups_assignable(&joined, &windows, rate) {
+                    let riders: Vec<ValueId> = vals.keys().copied().collect();
+                    if !groups_assignable(&riders, value, &windows, rate) {
                         continue;
                     }
                     // Simulate the move (growing endpoint ports if needed)
@@ -531,109 +742,54 @@ fn shrink_bus(cdfg: &Cdfg, ic: &mut Interconnect, j: usize) {
 /// or a port extension/fresh bus the remaining pin budgets can pay for).
 /// Slot capacity is ignored here — the check is a cheap necessary
 /// condition that cuts hopeless subtrees early.
-pub(crate) fn future_feasible(cdfg: &Cdfg, mode: PortMode, state: &State, rest: &[OpId]) -> bool {
-    'ops: for &op in rest {
-        let (_, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-        let bits = cdfg.io_bits(op) as i64;
-        // Fresh bus.
-        if state.pins_left[from.index()] >= bits && state.pins_left[to.index()] >= bits {
-            continue;
-        }
-        for bus in &state.buses {
-            let (cur_f, cur_t) = match mode {
-                PortMode::Unidirectional => (
-                    bus.out_ports.get(&from).copied().unwrap_or(0) as i64,
-                    bus.in_ports.get(&to).copied().unwrap_or(0) as i64,
-                ),
-                PortMode::Bidirectional => (
-                    bus.bi_ports.get(&from).copied().unwrap_or(0) as i64,
-                    bus.bi_ports.get(&to).copied().unwrap_or(0) as i64,
-                ),
-            };
-            // Riding the low lines needs at most `bits` of port.
-            if state.pins_left[from.index()] >= (bits - cur_f).max(0)
-                && state.pins_left[to.index()] >= (bits - cur_t).max(0)
-            {
-                continue 'ops;
-            }
-        }
-        return false;
-    }
-    true
+pub(crate) fn future_feasible(state: &State, rest: &[Transfer]) -> bool {
+    rest.iter().all(|t| {
+        let bits = t.bits as i64;
+        let (left_f, left_t) = (
+            state.pins_left[t.from.index()],
+            state.pins_left[t.to.index()],
+        );
+        // A fresh bus, or riding the low lines of an existing one, which
+        // needs at most `bits` of port.
+        (left_f >= bits && left_t >= bits)
+            || (0..state.buses).any(|h| {
+                let [cur_f, cur_t] = state.endpoint_widths(h, t);
+                left_f >= (bits - cur_f as i64).max(0) && left_t >= (bits - cur_t as i64).max(0)
+            })
+    })
 }
 
-/// Enumerates, scores, deduplicates and truncates the moves for one
-/// operation. `branching_factor` and `cand` come from the worker plan so
-/// portfolio members can disagree on how wide and in what order to
-/// explore.
+/// Enumerates, scores, deduplicates and truncates the moves for transfer
+/// `t`, appending them to `out`; `scored` is scratch space. The branching
+/// factor and candidate order come from the worker plan so portfolio
+/// members can disagree on how wide and in what order to explore.
 pub(crate) fn candidate_moves(
-    cdfg: &Cdfg,
-    mode: PortMode,
-    rate: u32,
-    branching_factor: usize,
-    cand: crate::portfolio::CandidateOrder,
     state: &State,
-    op: OpId,
-) -> Vec<Move> {
-    let (value, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-    let bits = cdfg.io_bits(op);
-    let l = rate as i64;
-
-    let mut moves: Vec<Move> = Vec::new();
-    for (h, bus) in state.buses.iter().enumerate() {
-        let values = &state.bus_values[h];
-        // Ranges to try on this bus.
-        let mut options: Vec<(SubRange, Option<Vec<u32>>)> = Vec::new();
-        if let Some(&r) = values.get(&value) {
-            // Same value already rides this bus: share its slot and range
-            // (no extra capacity).
-            options.push((r, None));
-        } else {
-            if bus.sub_count() == 1 {
-                // Whole (possibly widening) assignment. Sub-bus sharing is
-                // applied as a pin-saving post-pass (see `share_pass`)
-                // rather than inside the branch search.
-                options.push((SubRange { lo: 0, hi: 0 }, None));
-            } else {
-                for lo in 0..bus.sub_count() {
-                    for hi in lo..bus.sub_count() {
-                        let r = SubRange { lo, hi };
-                        // No widening of split buses (Section 6.1.2).
-                        if bus.range_width(r) >= bits {
-                            options.push((r, None));
-                        }
-                    }
-                }
-            }
-        }
-        for (range, split_into) in options {
-            if let Some(gain) = score_move(
-                cdfg,
-                mode,
-                rate,
-                state,
-                h,
-                &split_into,
-                range,
-                value,
-                from,
-                to,
-                bits,
-            ) {
-                moves.push(Move {
-                    bus: h,
-                    split_into,
-                    range,
-                    gain,
-                });
-            }
-        }
-    }
-
-    // Order by gain, dedup same-topology buses (Section 4.1.2), truncate.
+    windows: &Windows,
+    rate: u32,
+    plan: &crate::portfolio::WorkerPlan,
+    t: &Transfer,
+    scored: &mut Vec<Move>,
+    out: &mut Vec<Move>,
+) {
     use crate::portfolio::CandidateOrder;
-    moves.sort_by(|a, b| {
-        let tie = match cand {
+    scored.clear();
+    // Sub-bus sharing is applied as a pin-saving post-pass (see
+    // `share_pass`) rather than inside the branch search, so every
+    // existing bus offers one whole (possibly widening) assignment; a
+    // value already riding it shares its slot.
+    scored.extend((0..state.buses).filter_map(|h| {
+        score_move(state, windows, rate, h, t).map(|gain| Move {
+            bus: h,
+            range: WHOLE,
+            gain,
+        })
+    }));
+
+    // Order by gain. Each bus offers one move, so the bus tie-break makes
+    // the order total and an unstable sort is exact.
+    scored.sort_unstable_by(|a, b| {
+        let tie = match plan.candidates {
             // The classic search prefers lower bus indices among equal
             // gains; the reversed plan breaks ties the other way to
             // diversify which equal-gain carrier gets explored first.
@@ -645,102 +801,61 @@ pub(crate) fn candidate_moves(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(tie)
     });
-    let mut seen = std::collections::BTreeSet::new();
-    moves.retain(|mv| {
-        let sig = (
-            state.buses[mv.bus].topology(),
-            mv.range,
-            mv.split_into.clone(),
-        );
-        seen.insert(sig)
-    });
-    moves.truncate(branching_factor.max(1));
+    // Keep the best move of each topology (Section 4.1.2), up to the
+    // branching factor.
+    let start = out.len();
+    let keep = plan.branching_factor.max(1);
+    for mv in scored.iter() {
+        if out.len() - start == keep {
+            break;
+        }
+        if !out[start..]
+            .iter()
+            .any(|k| state.same_topology(k.bus, mv.bus))
+        {
+            out.push(*mv);
+        }
+    }
 
     // A fresh bus is always a candidate if pins allow: last resort for the
     // gain-ordered plans, first move for the fresh-first plan.
-    let fresh = state.buses.len();
-    let fresh_feasible =
-        state.pins_left[from.index()] >= bits as i64 && state.pins_left[to.index()] >= bits as i64;
-    if fresh_feasible {
+    let bits = t.bits as i64;
+    if state.pins_left[t.from.index()] >= bits && state.pins_left[t.to.index()] >= bits {
         let mv = Move {
-            bus: fresh,
-            split_into: None,
-            range: SubRange { lo: 0, hi: 0 },
-            gain: l as f64, // g1 = g2 = 0, g3 = L free slots
+            bus: state.buses,
+            range: WHOLE,
+            gain: rate as f64, // g1 = g2 = 0, g3 = L free slots
         };
-        if matches!(cand, CandidateOrder::FreshFirst) {
-            moves.insert(0, mv);
+        if matches!(plan.candidates, CandidateOrder::FreshFirst) {
+            out.insert(start, mv);
         } else {
-            moves.push(mv);
+            out.push(mv);
         }
     }
-    moves
 }
 
-/// Scores assigning `value` to bus `h` at `range`; `None` when infeasible
-/// (pins or slot capacity).
-#[allow(clippy::too_many_arguments)]
+/// Scores assigning transfer `t` to bus `h`; `None` when infeasible (pins
+/// or slot capacity).
 pub(crate) fn score_move(
-    _cdfg: &Cdfg,
-    mode: PortMode,
-    rate: u32,
     state: &State,
+    windows: &Windows,
+    rate: u32,
     h: usize,
-    split_into: &Option<Vec<u32>>,
-    range: SubRange,
-    value: ValueId,
-    from: PartitionId,
-    to: PartitionId,
-    bits: u32,
+    t: &Transfer,
 ) -> Option<f64> {
-    let bus = &state.buses[h];
-    let l = rate as i64;
-    let shares_value = state.bus_values[h].contains_key(&value);
+    let riders = &state.values[h];
+    let shares_value = riders.binary_search(&t.value).is_ok();
 
-    // Geometry after the move.
-    let new_widths: Vec<u32> = match split_into {
-        Some(w) => w.clone(),
-        None => {
-            if bus.sub_count() == 1 {
-                vec![bus.width().max(bits)]
-            } else {
-                bus.sub_widths.clone()
-            }
-        }
-    };
-    // A transfer occupies the low-order lines of its range; ports may be
-    // narrower than the bus (Figure 4.2).
-    let prefix_need: u32 = new_widths[..range.lo].iter().sum::<u32>() + bits;
-
-    // Pin deltas for the two endpoint ports.
-    let port_width =
-        |ports: &BTreeMap<PartitionId, u32>, p: PartitionId| ports.get(&p).copied().unwrap_or(0);
-    let (delta_from, delta_to, had_from, had_to) = match mode {
-        PortMode::Unidirectional => {
-            let cur_out = port_width(&bus.out_ports, from);
-            let cur_in = port_width(&bus.in_ports, to);
-            (
-                prefix_need.saturating_sub(cur_out) as i64,
-                prefix_need.saturating_sub(cur_in) as i64,
-                cur_out > 0,
-                cur_in > 0,
-            )
-        }
-        PortMode::Bidirectional => {
-            let cur_f = port_width(&bus.bi_ports, from);
-            let cur_t = port_width(&bus.bi_ports, to);
-            (
-                prefix_need.saturating_sub(cur_f) as i64,
-                prefix_need.saturating_sub(cur_t) as i64,
-                cur_f > 0,
-                cur_t > 0,
-            )
-        }
-    };
-    if state.pins_left[from.index()] < delta_from || state.pins_left[to.index()] < delta_to {
+    // A transfer occupies the low-order lines of the (unsplit) bus; ports
+    // may be narrower than the bus (Figure 4.2). Pin deltas for the two
+    // endpoint ports:
+    let [cur_f, cur_t] = state.endpoint_widths(h, t);
+    let delta_from = t.bits.saturating_sub(cur_f) as i64;
+    let delta_to = t.bits.saturating_sub(cur_t) as i64;
+    if state.pins_left[t.from.index()] < delta_from || state.pins_left[t.to.index()] < delta_to {
         return None;
     }
-    if from == to {
+    if t.from == t.to {
         return None;
     }
 
@@ -748,128 +863,70 @@ pub(crate) fn score_move(
     // (sub-bus pairing is opportunistic, Section 6.2), and feedback
     // values additionally need a cycle inside their static group window
     // (Section 7.1) — the bus must admit a system of distinct groups.
-    if !shares_value {
-        let mut values: Vec<ValueId> = state.bus_values[h].keys().copied().collect();
-        values.push(value);
-        if !groups_assignable(&values, &state.windows, rate) {
-            return None;
-        }
+    if !shares_value && !groups_assignable(riders, t.value, windows, rate) {
+        return None;
     }
 
     // Gain per Section 4.1.2 / Section 4.3.
     let wf = |p: PartitionId| -> f64 {
         state.demand_left[p.index()] as f64 / state.pins_left[p.index()].max(1) as f64
     };
-    let g1 = match (had_from, had_to) {
+    let g1 = match (cur_f > 0, cur_t > 0) {
         (false, false) => 0.0,
-        (true, false) => wf(from),
-        (false, true) => wf(to),
-        (true, true) => wf(from) + wf(to),
+        (true, false) => wf(t.from),
+        (false, true) => wf(t.to),
+        (true, true) => wf(t.from) + wf(t.to),
     };
     let g2 = if shares_value { 1.0 } else { 0.0 };
-    let used: i64 = {
-        let vals = &state.bus_values[h];
-        vals.len() as i64
-    };
-    let g3 = (l - used).max(0) as f64;
+    let g3 = (rate as i64 - riders.len() as i64).max(0) as f64;
     Some(10_000.0 * g1 + 100.0 * g2 + g3)
 }
 
-pub(crate) fn apply_move(cdfg: &Cdfg, mode: PortMode, state: &mut State, op: OpId, mv: &Move) {
-    let (value, from, to) = cdfg.op(op).io_endpoints().expect("io op");
-    let bits = cdfg.io_bits(op);
-    if mv.bus == state.buses.len() {
-        state.buses.push(Bus::new());
-        state.bus_values.push(BTreeMap::new());
-    }
-    let shares = state.bus_values[mv.bus].contains_key(&value);
-    // Split geometry and remap existing values.
-    if let Some(widths) = &mv.split_into {
-        state.buses[mv.bus].sub_widths = widths.clone();
-        let remapped: Vec<(ValueId, SubRange)> = state.bus_values[mv.bus]
-            .iter()
-            .map(|(&v, _)| {
-                let r = if cdfg.value(v).bits <= widths[0] {
-                    SubRange { lo: 0, hi: 0 }
-                } else {
-                    SubRange { lo: 0, hi: 1 }
-                };
-                (v, r)
-            })
-            .collect();
-        for (v, r) in remapped {
-            state.bus_values[mv.bus].insert(v, r);
-            // Reassigned earlier transfers keep their bus but move range.
-            let ids: Vec<OpId> = state
-                .assignment
-                .iter()
-                .filter(|(_, a)| a.bus.index() == mv.bus)
-                .map(|(&o, _)| o)
-                .collect();
-            for o in ids {
-                if cdfg.op(o).io_endpoints().map(|(vv, _, _)| vv) == Some(v) {
-                    state.assignment.insert(
-                        o,
-                        BusAssignment {
-                            bus: BusId::new(mv.bus as u32),
-                            range: r,
-                        },
-                    );
-                }
-            }
-        }
-    } else if state.buses[mv.bus].sub_count() == 1 {
-        let w = state.buses[mv.bus].width().max(bits);
-        state.buses[mv.bus].sub_widths = vec![w];
-    }
-    let range = if shares {
-        state.bus_values[mv.bus][&value]
-    } else {
-        mv.range
+/// Assigns transfer `t`, at position `pos` of the search order, as `mv`
+/// says: widens the bus and grows the endpoint ports as needed, paying
+/// for the growth in pins. Returns the record that undoes it.
+pub(crate) fn apply_move(state: &mut State, pos: usize, t: &Transfer, mv: &Move) -> Undo {
+    let h = mv.bus;
+    let fresh = h == state.buses;
+    let ends = [t.from.index(), t.to.index()];
+    let mut undo = Undo {
+        bus: h,
+        fresh,
+        width: state.widths[h],
+        ports: [(0, 0, 0); 2],
+        value_slot: None,
+        pos,
+        assignment: state.assignment[pos],
+        ends,
+        pins_left: ends.map(|p| state.pins_left[p]),
+        demand_left: ends.map(|p| state.demand_left[p]),
     };
-    // Port growth and pin accounting: the transfer needs its range's
+    if fresh {
+        state.buses += 1;
+    }
+    state.widths[h] = state.widths[h].max(t.bits);
+    // Port growth and pin accounting: the transfer needs the bus's
     // low-order lines only.
-    let prefix = state.buses[mv.bus].prefix_start(range) + bits;
-    let mut grow = |ports_owner: PortSide, p: PartitionId| {
-        let bus = &mut state.buses[mv.bus];
-        let ports = match ports_owner {
-            PortSide::Out => &mut bus.out_ports,
-            PortSide::In => &mut bus.in_ports,
-            PortSide::Bi => &mut bus.bi_ports,
-        };
-        let cur = ports.get(&p).copied().unwrap_or(0);
-        if prefix > cur {
-            ports.insert(p, prefix);
-            state.pins_left[p.index()] -= (prefix - cur) as i64;
-        }
-    };
-    match mode {
-        PortMode::Unidirectional => {
-            grow(PortSide::Out, from);
-            grow(PortSide::In, to);
-        }
-        PortMode::Bidirectional => {
-            grow(PortSide::Bi, from);
-            grow(PortSide::Bi, to);
+    for (i, (side, slot)) in state.endpoint_slots(h, t).into_iter().enumerate() {
+        let cur = state.ports[side][slot];
+        undo.ports[i] = (side, slot, cur);
+        if t.bits > cur {
+            state.ports[side][slot] = t.bits;
+            state.pins_left[ends[i]] -= (t.bits - cur) as i64;
         }
     }
-    state.bus_values[mv.bus].insert(value, range);
-    state.assignment.insert(
-        op,
-        BusAssignment {
-            bus: BusId::new(mv.bus as u32),
-            range,
-        },
-    );
-    state.demand_left[from.index()] -= bits as i64;
-    state.demand_left[to.index()] -= bits as i64;
-}
-
-#[derive(Clone, Copy)]
-enum PortSide {
-    Out,
-    In,
-    Bi,
+    if let Err(i) = state.values[h].binary_search(&t.value) {
+        state.values[h].insert(i, t.value);
+        undo.value_slot = Some(i);
+    }
+    state.assignment[pos] = Some(BusAssignment {
+        bus: BusId::new(h as u32),
+        range: mv.range,
+    });
+    for p in ends {
+        state.demand_left[p] -= t.bits as i64;
+    }
+    undo
 }
 
 #[cfg(test)]
@@ -1001,6 +1058,68 @@ mod tests {
             synthesize(d.cdfg(), PortMode::Unidirectional, &SearchConfig::new(1)),
             Err(ConnectError::NoConnectionFound)
         ));
+    }
+
+    /// Two one-bus structures that differ only in which ports they
+    /// connect: 256 output ports on partitions `256 * j`, against 256
+    /// input ports on partitions `j`. With one-byte list lengths both
+    /// encode the port count 256 as 0, and the two port lists spell the
+    /// same bytes shifted by one, so their signatures collided and a
+    /// failure proof for one pruned the other.
+    #[test]
+    fn signatures_separate_states_with_256_ports_on_a_bus() {
+        let nparts = 256 * 255 + 1;
+        let one_bus = |side: usize, slot: fn(usize) -> usize, width: u32| {
+            let mut ports = [vec![0; nparts], vec![0; nparts]];
+            for j in 0..256 {
+                ports[side][slot(j)] = width;
+            }
+            State {
+                mode: PortMode::Unidirectional,
+                nparts,
+                buses: 1,
+                widths: vec![256],
+                ports,
+                values: vec![Vec::new()],
+                assignment: Vec::new(),
+                pins_left: Vec::new(),
+                demand_left: Vec::new(),
+            }
+        };
+        let outs = one_bus(0, |j| 256 * j, 256);
+        let ins = one_bus(1, |j| j, 1);
+        assert_ne!(outs.signature(3), ins.signature(3));
+        assert_eq!(outs.signature(3), outs.clone().signature(3));
+        let sig = outs.signature(3);
+        assert_eq!(sig.len(), sig.capacity());
+    }
+
+    /// Undoing every move of a search path, newest first, restores the
+    /// root state exactly.
+    #[test]
+    fn undo_restores_the_state_move_by_move() {
+        for mode in [PortMode::Unidirectional, PortMode::Bidirectional] {
+            let d = ar_filter::general(3, mode);
+            let cdfg = d.cdfg();
+            let transfers: Vec<Transfer> = cdfg.io_ops().map(|op| Transfer::of(cdfg, op)).collect();
+            let windows = mcs_cdfg::timing::feedback_group_windows(cdfg, 3);
+            let plan = crate::portfolio::portfolio_plans(&SearchConfig::new(3)).swap_remove(0);
+            let mut state = State::new(cdfg, mode, &transfers);
+            let mut trail = Vec::new();
+            let mut snapshots = Vec::new();
+            for (pos, t) in transfers.iter().enumerate() {
+                let mut moves = Vec::new();
+                candidate_moves(&state, &windows, 3, &plan, t, &mut Vec::new(), &mut moves);
+                let Some(mv) = moves.first() else { break };
+                snapshots.push(format!("{state:?}"));
+                trail.push(apply_move(&mut state, pos, t, mv));
+            }
+            assert!(state.buses > 0);
+            while let Some(u) = trail.pop() {
+                state.undo(&u);
+                assert_eq!(format!("{state:?}"), snapshots.pop().unwrap(), "{mode:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!    and returned byte-identical.
 //! 2. **Patched re-solve** — the previous bus structure is kept; clean
 //!    transfers keep their bus assignment, dirty or new transfers take
-//!    the first capable carrier, and list scheduling re-runs over the
-//!    patched interconnect. For simple partitionings the pin-allocation
+//!    the first capable carrier. The previous schedule is kept when it
+//!    still validates, the pipe gets no longer, and its connection
+//!    verifies over the patched interconnect (a narrowed transfer
+//!    usually leaves it legal); otherwise list scheduling re-runs over
+//!    the patched interconnect. For simple partitionings the pin-allocation
 //!    checker first *replays* the clean commits of the previous run,
 //!    opens a commit-level savepoint
 //!    ([`mcs_pinalloc::PinChecker::commit_savepoint`]) and trial-commits
@@ -191,6 +194,9 @@ pub struct ResynthStats {
     pub reused_assignments: u64,
     /// Bus assignments re-derived for dirty or new transfers.
     pub fresh_assignments: u64,
+    /// The patched rung kept the previous schedule instead of re-running
+    /// list scheduling.
+    pub reused_schedule: bool,
 }
 
 /// The outcome of [`resynth_flow`]: the edited graph, the (re)synthesis
@@ -344,20 +350,10 @@ fn try_identical(cdfg: &Cdfg, prev: &SynthesisResult) -> Option<SynthesisResult>
     if !validate(cdfg, &prev.schedule).is_empty() {
         return None;
     }
-    let ic = prev.final_interconnect();
-    if !ic.verify(cdfg).is_empty() {
+    if !prev.final_interconnect().verify(cdfg).is_empty() {
         return None;
     }
-    if !verify_against_schedule(cdfg, &prev.schedule, &ic).is_empty() {
-        return None;
-    }
-    if (0..cdfg.partition_count()).any(|p| {
-        let pid = PartitionId::new(p as u32);
-        ic.pins_used(pid) > cdfg.partition(pid).total_pins
-    }) {
-        return None;
-    }
-    Some(prev.clone())
+    verified(cdfg, prev.clone())
 }
 
 /// Inverse of [`AppliedDelta::op_map`]: new operation id -> old id.
@@ -407,6 +403,10 @@ fn try_patched(
             return None;
         }
     }
+    if let Some(result) = reuse_schedule(cdfg, prev, applied, &back, &ic, rate) {
+        stats.reused_schedule = true;
+        return Some(result);
+    }
     let (schedule, policy) = schedule_ladder(cdfg, rate, &ic, recorder, metrics)?;
     if !validate(cdfg, &schedule).is_empty() {
         return None;
@@ -414,6 +414,57 @@ fn try_patched(
     let mut result = SynthesisResult::common(cdfg, schedule, ic);
     result.placements = policy.placements().clone();
     result.reassigned = policy.reassigned_count();
+    verified(cdfg, result)
+}
+
+/// The previous schedule over the patched interconnect, when it still
+/// holds. An edit that keeps every start time legal (typically a
+/// narrowed transfer) needs no list scheduling: clean transfers keep
+/// their previous slot placements, dirty ones ride the carrier
+/// [`patch_interconnect`] chose, and the same checks as the ladder's
+/// result decide. `None` when the rate or the operation numbering
+/// changed, the schedule no longer validates or got longer, or the
+/// connection does not verify against it.
+fn reuse_schedule(
+    cdfg: &Cdfg,
+    prev: &SynthesisResult,
+    applied: &AppliedDelta,
+    back: &[Option<OpId>],
+    ic: &Interconnect,
+    rate: u32,
+) -> Option<SynthesisResult> {
+    let renumbered = back.len() != prev.schedule.start.len()
+        || back
+            .iter()
+            .enumerate()
+            .any(|(i, old)| *old != Some(OpId::new(i as u32)));
+    if rate != prev.schedule.rate || renumbered {
+        return None;
+    }
+    if !validate(cdfg, &prev.schedule).is_empty() {
+        return None;
+    }
+    let mut result = SynthesisResult::common(cdfg, prev.schedule.clone(), ic.clone());
+    if result.pipe_length > prev.pipe_length {
+        return None;
+    }
+    result.placements = prev
+        .placements
+        .iter()
+        .filter(|(op, _)| !applied.dirty.contains(op))
+        .map(|(&op, &p)| (op, p))
+        .collect();
+    result.reassigned = result
+        .placements
+        .iter()
+        .filter(|(op, p)| ic.assignment.get(op).is_some_and(|a| a.bus != p.bus))
+        .count();
+    verified(cdfg, result)
+}
+
+/// `result` when its final connection verifies against its schedule
+/// and fits every chip's pin budget.
+fn verified(cdfg: &Cdfg, result: SynthesisResult) -> Option<SynthesisResult> {
     let final_ic = result.final_interconnect();
     if !verify_against_schedule(cdfg, &result.schedule, &final_ic).is_empty() {
         return None;

@@ -131,6 +131,30 @@ fn differential_oracle_agrees_across_a_200_seed_edit_sweep() {
     );
 }
 
+/// Narrowing a value that crosses chips dirties its transfer but leaves
+/// the previous schedule legal: the patched rung keeps that schedule
+/// instead of re-running list scheduling, and the result stays
+/// verifier-clean against the cold oracle. A rate change invalidates
+/// every start time, so there the rung schedules afresh.
+#[test]
+fn narrowed_transfer_keeps_the_previous_schedule() {
+    let d = elliptic::partitioned();
+    let prev = connect_first_flow(d.cdfg(), &ConnectFirstOptions::new(6)).unwrap();
+    let narrow = DesignDelta::parse("width:e2=15").unwrap();
+    let out = resynth_flow(d.cdfg(), &prev, &narrow).unwrap();
+    assert_eq!(out.path, ResynthPath::Patched);
+    assert_eq!(out.dirty.transfers.len(), 1);
+    assert!(out.stats.reused_schedule);
+    assert_eq!(out.result.schedule, prev.schedule);
+    assert_eq!(out.result.pipe_length, prev.pipe_length);
+    differential(d.cdfg(), &prev, &narrow).unwrap();
+
+    let slower = DesignDelta::parse("rate:7").unwrap();
+    let out = resynth_flow(d.cdfg(), &prev, &slower).unwrap();
+    assert!(!out.stats.reused_schedule, "path {}", out.path);
+    differential(d.cdfg(), &prev, &slower).unwrap();
+}
+
 #[test]
 fn cli_round_trips_a_saved_result_and_guards_its_digest() {
     let dir = std::env::temp_dir().join("mcs_resynth_cli_test");
