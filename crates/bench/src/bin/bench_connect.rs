@@ -6,17 +6,19 @@
 //! adversarial fan-in designs with 4/5/6 senders at rate 2. Each side
 //! reports node counts, the node-sequence digest, the connection's buses
 //! and pins, heap allocations and its best wall time. The two must agree
-//! on every deterministic field — the process exits nonzero when they do
-//! not, which is the differential gate CI runs. The reference shares the
-//! per-node rules with the production search, so agreement checks only
-//! the undo log; `bench_compare connect` pins the node counts and digests
-//! against the committed baseline, and `integration_portfolio` pins the
-//! counts recorded before the undo log existed. The rendering lives in
-//! [`mcs_bench::connect_bench_line`], where it is golden-tested.
+//! on every deterministic field — the process exits nonzero when the
+//! line's `agree` is false, which is the differential gate CI runs. The
+//! reference shares the per-node rules with the production search, so
+//! agreement checks only the undo log; `bench_compare connect` pins the
+//! node counts and digests against the committed baseline, and
+//! `integration_portfolio` pins the counts recorded before the undo log
+//! existed. The line's fields are declared in
+//! [`mcs_bench::compare::CONNECT`].
 
 use std::time::Instant;
 
-use mcs_bench::{connect_bench_line, CountingAlloc, MeasuredConnect};
+use mcs_bench::compare::CONNECT;
+use mcs_bench::{CountingAlloc, Line};
 use mcs_cdfg::designs::{synthetic, Design};
 use mcs_cdfg::{PartitionId, PortMode};
 use mcs_connect::{synthesize_with_stats, ConnectError, Interconnect, SearchConfig, SearchStats};
@@ -30,14 +32,14 @@ type Search = fn(
     &SearchConfig,
 ) -> (Result<Interconnect, ConnectError>, SearchStats);
 
-/// Runs `search` `reps` times; every run must be identical, so the
-/// counts come from the first and the wall time is the best.
-fn measure(design: &Design, rate: u32, search: Search, reps: usize) -> MeasuredConnect {
+/// Runs `search` `reps` times and fills the line's `side` fields; every
+/// run must be identical, so the counts come from the first and the wall
+/// time is the best.
+fn measure(line: &mut Line, side: &str, design: &Design, rate: u32, search: Search, reps: usize) {
     let cdfg = design.cdfg();
     let cfg = SearchConfig::new(rate);
     let mut best = f64::INFINITY;
-    let mut first: Option<MeasuredConnect> = None;
-    for _ in 0..reps {
+    for rep in 0..reps {
         let allocs0 = CountingAlloc::allocations();
         let t0 = Instant::now();
         let (ic, stats) = search(cdfg, PortMode::Unidirectional, &cfg);
@@ -50,32 +52,31 @@ fn measure(design: &Design, rate: u32, search: Search, reps: usize) -> MeasuredC
                 .sum();
             (ic.buses.len() as u32, pins)
         });
-        first.get_or_insert(MeasuredConnect {
-            nodes: stats.nodes,
-            prunes: stats.prunes,
-            backtracks: stats.backtracks,
-            sequence_digest: stats.sequence_digest(),
-            buses,
-            pins,
-            allocations,
-            wall_ms,
-        });
+        if rep == 0 {
+            line.set(&format!("{side}.nodes"), stats.nodes)
+                .set(&format!("{side}.prunes"), stats.prunes)
+                .set(&format!("{side}.backtracks"), stats.backtracks)
+                .set(&format!("{side}.sequence_digest"), stats.sequence_digest())
+                .set(&format!("{side}.buses"), buses)
+                .set(&format!("{side}.pins"), pins)
+                .set(&format!("{side}.allocations"), allocations);
+        }
     }
-    let mut m = first.expect("at least one repetition");
-    m.wall_ms = best;
-    m
+    line.set(&format!("{side}.wall_ms"), best);
 }
 
 fn run(name: &str, design: &Design, rate: u32) -> bool {
-    let trail = measure(design, rate, synthesize_with_stats, 9);
-    let clone = measure(design, rate, mcs_connect::oracle::clone_search, 5);
-    let line = connect_bench_line(name, rate, &trail, &clone);
+    let mut line = Line::new(&CONNECT);
+    line.set("design", name).set("rate", rate);
+    measure(&mut line, "trail", design, rate, synthesize_with_stats, 9);
+    let clone = mcs_connect::oracle::clone_search;
+    measure(&mut line, "clone", design, rate, clone, 5);
+    let line = line.finish();
     println!("{line}");
-    let agree = line.contains("\"agree\":true");
-    if !agree {
+    if !line.passed() {
         eprintln!("{name}: the trail search and the clone reference disagree");
     }
-    agree
+    line.passed()
 }
 
 fn main() -> std::process::ExitCode {

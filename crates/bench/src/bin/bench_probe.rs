@@ -3,13 +3,14 @@
 //! engine, the trail engine forced onto the i128 representation from
 //! the first pivot, and the legacy clone-per-probe path — wall time,
 //! heap allocations and a verdict digest each. All three engines must
-//! agree on every verdict — the process exits nonzero when they do
-//! not, which is the differential gate CI runs. The rendering lives in
-//! [`mcs_bench::probe_bench_line`], where it is golden-tested.
+//! agree on every verdict and probe count — the process exits nonzero
+//! when the line's `agree` is false, which is the differential gate CI
+//! runs. The line's fields are declared in [`mcs_bench::compare::PROBE`].
 
 use std::time::Instant;
 
-use mcs_bench::{probe_bench_line, verdict_digest, CountingAlloc, MeasuredProbe};
+use mcs_bench::compare::PROBE;
+use mcs_bench::{verdict_digest, CountingAlloc, Line};
 use mcs_cdfg::designs::{ar_filter, synthetic, Design};
 use mcs_cdfg::OpId;
 use mcs_pinalloc::PinChecker;
@@ -20,13 +21,16 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Probes each of the design's transfers into every control-step group,
 /// `rounds` times, through one engine. The checker is warm (one unmeasured
 /// round) so one-time arena growth does not count against either engine.
+/// Fills the line's `side` fields.
 fn sweep(
+    line: &mut Line,
+    side: &str,
     checker: &mut PinChecker,
     ops: &[OpId],
     rate: u32,
     rounds: usize,
     via_clone: bool,
-) -> MeasuredProbe {
+) {
     let mut verdicts: Vec<bool> = Vec::with_capacity(rounds * ops.len() * rate as usize);
     for &op in ops {
         for k in 0..rate as i64 {
@@ -44,14 +48,14 @@ fn sweep(
         }
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    MeasuredProbe {
-        probes: verdicts.len() as u64,
-        feasible: verdicts.iter().filter(|&&v| v).count() as u64,
-        allocations: CountingAlloc::allocations() - allocs0,
-        alloc_bytes: CountingAlloc::bytes() - bytes0,
-        wall_ms,
-        verdict_digest: verdict_digest(&verdicts),
-    }
+    let (allocations, bytes) = (CountingAlloc::allocations(), CountingAlloc::bytes());
+    let feasible = verdicts.iter().filter(|&&v| v).count();
+    line.set(&format!("{side}.probes"), verdicts.len())
+        .set(&format!("{side}.feasible"), feasible)
+        .set(&format!("{side}.allocations"), allocations - allocs0)
+        .set(&format!("{side}.alloc_bytes"), bytes - bytes0)
+        .set(&format!("{side}.wall_ms"), wall_ms)
+        .set(&format!("{side}.verdict_digest"), verdict_digest(&verdicts));
 }
 
 fn run(name: &str, design: &Design, rate: u32, rounds: usize) -> bool {
@@ -64,8 +68,10 @@ fn run(name: &str, design: &Design, rate: u32, rounds: usize) -> bool {
         }
     };
     let ops: Vec<OpId> = cdfg.io_ops().collect();
-    let trail = sweep(&mut checker, &ops, rate, rounds, false);
-    let clone = sweep(&mut checker, &ops, rate, rounds, true);
+    let mut line = Line::new(&PROBE);
+    line.set("design", name).set("rate", rate);
+    sweep(&mut line, "trail", &mut checker, &ops, rate, rounds, false);
+    sweep(&mut line, "clone", &mut checker, &ops, rate, rounds, true);
     // Third engine: the same trail machinery pinned to the i128
     // representation from the first pivot. Its digest certifies that
     // the adaptive-i64 fast path changes nothing but speed.
@@ -77,14 +83,21 @@ fn run(name: &str, design: &Design, rate: u32, rounds: usize) -> bool {
         }
     };
     wide_checker.force_wide_words();
-    let wide = sweep(&mut wide_checker, &ops, rate, rounds, false);
-    let agree =
-        trail.verdict_digest == wide.verdict_digest && trail.verdict_digest == clone.verdict_digest;
-    println!("{}", probe_bench_line(name, rate, &trail, &wide, &clone));
-    if !agree {
+    sweep(
+        &mut line,
+        "wide",
+        &mut wide_checker,
+        &ops,
+        rate,
+        rounds,
+        false,
+    );
+    let line = line.finish();
+    println!("{line}");
+    if !line.passed() {
         eprintln!("{name}: trail, wide and clone probe engines disagree");
     }
-    agree
+    line.passed()
 }
 
 fn main() -> std::process::ExitCode {

@@ -35,11 +35,14 @@
 //! Every scenario also runs [`multichip_hls::resynth::differential`],
 //! so a line only passes when the incremental result is verifier-clean
 //! against the cold oracle. Output is one JSON line per scenario in the
-//! committed-baseline format checked by `bench_compare resynth`.
+//! committed-baseline format checked by `bench_compare resynth`, with
+//! its fields declared in [`mcs_bench::compare::RESYNTH`]; the process
+//! exits nonzero when any line's `pass` is false.
 
 use std::time::Instant;
 
-use mcs_bench::{resynth_bench_line_with_floor, MeasuredResynth, RESYNTH_SPEEDUP_FLOOR};
+use mcs_bench::compare::RESYNTH;
+use mcs_bench::{Line, RESYNTH_SPEEDUP_FLOOR};
 use mcs_cdfg::delta::DesignDelta;
 use mcs_cdfg::designs::{ar_filter, elliptic, synthetic, Design};
 use mcs_cdfg::Cdfg;
@@ -138,27 +141,27 @@ fn run(config: &str, design: &Design, prev: &SynthesisResult, edit: &str, floor:
         }
     };
 
-    let m = MeasuredResynth {
-        design: design.name().to_string(),
-        edit: edit.to_string(),
-        path: incr.path.to_string(),
-        dirty_ops: incr.dirty.ops.len() as u64,
-        dirty_transfers: incr.dirty.transfers.len() as u64,
-        reused: incr.stats.reused_assignments,
-        fresh: incr.stats.fresh_assignments,
-        incr_latency: incr.result.pipe_length,
-        cold_latency: cold.pipe_length,
-        verifier_ok,
-        incr_wall_ms,
-        cold_wall_ms,
-    };
-    let line = resynth_bench_line_with_floor(config, &m, floor);
+    let mut line = Line::new(&RESYNTH);
+    line.set("config", config)
+        .set("design", design.name())
+        .set("edit", edit)
+        .set("path", incr.path.to_string())
+        .set("dirty_ops", incr.dirty.ops.len())
+        .set("dirty_transfers", incr.dirty.transfers.len())
+        .set("reused", incr.stats.reused_assignments)
+        .set("fresh", incr.stats.fresh_assignments)
+        .set("incr_latency", incr.result.pipe_length)
+        .set("cold_latency", cold.pipe_length)
+        .set("verifier_ok", verifier_ok)
+        .set("incr_wall_ms", incr_wall_ms)
+        .set("cold_wall_ms", cold_wall_ms)
+        .require_speedup(floor);
+    let line = line.finish();
     println!("{line}");
-    if line.contains("\"pass\":false") {
+    if !line.passed() {
         eprintln!("{config}: gate failed (see line above)");
-        return false;
     }
-    true
+    line.passed()
 }
 
 fn main() -> std::process::ExitCode {

@@ -23,9 +23,10 @@
 //! only (scheduling decides which racing near-repeat publishes first);
 //! the digest and the identity bit are the deterministic surface.
 //! One BENCH line per scenario goes to stdout; the process exits
-//! nonzero if any scenario fails its gates (nonzero hits, identical
+//! nonzero if any line's `pass` is false (nonzero hits, identical
 //! transcripts, hit p50 at least [`mcs_bench::SERVE_SPEEDUP_FLOOR`]×
-//! below cold p50).
+//! below cold p50). The line's fields are declared in
+//! [`mcs_bench::compare::SERVE`].
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -33,7 +34,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mcs_bench::{response_digest, serve_bench_line, MeasuredServe};
+use mcs_bench::compare::SERVE;
+use mcs_bench::{response_digest, Line};
 use mcs_cdfg::format;
 use mcs_cdfg::fuzz::{design_from_seed, FuzzConfig};
 use mcs_cdfg::PartitionId;
@@ -272,7 +274,7 @@ fn replay(requests: &[String], workers: usize) -> Vec<String> {
     requests.iter().map(|r| server.handle_line(r)).collect()
 }
 
-fn run_scenario(mix: &Mix, clients: usize, per_client: usize) -> MeasuredServe {
+fn run_scenario(mix: &Mix, clients: usize, per_client: usize) -> Line {
     let (addr, accept_loop) = spawn_daemon(4);
 
     // Cold phase: every design once, sequentially, timed.
@@ -340,23 +342,24 @@ fn run_scenario(mix: &Mix, clients: usize, per_client: usize) -> MeasuredServe {
 
     cold_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     hit_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    MeasuredServe {
-        clients: clients as u64,
-        workers: 4,
-        designs: mix.cold.len() as u64,
-        cold_requests: mix.cold.len() as u64,
-        storm_requests: (clients * per_client) as u64,
-        hits,
-        warm,
-        storm_cold,
-        response_digest: response_digest(&transcript),
-        workers_identical,
-        cold_p50_us: percentile(&cold_us, 50),
-        cold_p99_us: percentile(&cold_us, 99),
-        hit_p50_us: percentile(&hit_us, 50),
-        hit_p99_us: percentile(&hit_us, 99),
-        wall_ms,
-    }
+    let mut line = Line::new(&SERVE);
+    line.set("config", format!("clients_{clients}"))
+        .set("clients", clients)
+        .set("workers", 4u64)
+        .set("designs", mix.cold.len())
+        .set("cold_requests", mix.cold.len())
+        .set("storm_requests", clients * per_client)
+        .set("hits", hits)
+        .set("warm", warm)
+        .set("storm_cold", storm_cold)
+        .set("response_digest", response_digest(&transcript))
+        .set("workers_identical", workers_identical)
+        .set("cold_p50_us", percentile(&cold_us, 50))
+        .set("cold_p99_us", percentile(&cold_us, 99))
+        .set("hit_p50_us", percentile(&hit_us, 50))
+        .set("hit_p99_us", percentile(&hit_us, 99))
+        .set("wall_ms", wall_ms);
+    line.finish()
 }
 
 fn main() -> ExitCode {
@@ -369,9 +372,8 @@ fn main() -> ExitCode {
     let mix = build_mix(designs);
     let mut all_pass = true;
     for &clients in ladder {
-        let measured = run_scenario(&mix, clients, per_client);
-        let line = serve_bench_line(&format!("clients_{clients}"), &measured);
-        all_pass &= line.contains("\"pass\":true");
+        let line = run_scenario(&mix, clients, per_client);
+        all_pass &= line.passed();
         println!("{line}");
     }
     if all_pass {

@@ -639,8 +639,14 @@ pub fn write(cdfg: &Cdfg) -> String {
             }
         }
     }
-    for (j, &v) in externals.iter().enumerate() {
-        let name = format!("x{j}");
+    // External names are `x<j>`, skipping any an operation already
+    // uses (operations share the value namespace).
+    let taken: std::collections::BTreeSet<&str> = oname.iter().map(String::as_str).collect();
+    let mut free = (0..)
+        .map(|j| format!("x{j}"))
+        .filter(|n| !taken.contains(n.as_str()));
+    for &v in &externals {
+        let name = free.next().expect("unbounded name supply");
         let _ = writeln!(out, "extval {name} {}", cdfg.value(v).bits);
         vref.insert(v, name);
     }
@@ -856,6 +862,34 @@ mod tests {
         roundtrip(synthetic::fig_2_5().cdfg());
         roundtrip(synthetic::tdm_example(true).cdfg());
         roundtrip(synthetic::multicycle_example().cdfg());
+    }
+
+    #[test]
+    fn roundtrips_every_named_design() {
+        // The synthetic families name operations `x<j>` themselves, so
+        // the writer must pick external names around them.
+        let mut all = vec![
+            ar_filter::simple(),
+            elliptic::partitioned(),
+            synthetic::fig_2_3(),
+            synthetic::fig_2_5(),
+            synthetic::fig_7_4(1, 2, 2),
+            synthetic::fig_7_4(3, 3, 2),
+            synthetic::conditional_example().0,
+            synthetic::tdm_example(false),
+            synthetic::tdm_example(true),
+            synthetic::multicycle_example(),
+            synthetic::quickstart(),
+        ];
+        for mode in [PortMode::Unidirectional, PortMode::Bidirectional] {
+            all.extend((3..=5).map(|rate| ar_filter::general(rate, mode)));
+            all.extend((5..=7).map(|rate| elliptic::partitioned_with(rate, mode)));
+        }
+        all.extend((2..=6).map(synthetic::portfolio_adversarial));
+        all.extend((3..=8).map(synthetic::large_mesh));
+        for d in &all {
+            roundtrip(d.cdfg());
+        }
     }
 
     #[test]

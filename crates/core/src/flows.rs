@@ -803,60 +803,15 @@ fn connect_first_schedule(
     search_stats: SearchStats,
     recorder: &RecorderHandle,
 ) -> Result<SynthesisResult, FlowError> {
-    // With reassignment enabled, dynamic allocation is an *addition* to
-    // static allocation: the flow runs both and keeps the shorter
-    // schedule, so enabling reassignment can only help — the relation the
-    // paper's Tables 4.2/4.10 report. When a composite maximum time
-    // constraint proves too tight, the consumers of feedback transfers are
-    // held back a few steps and the run repeated (the paper's "constrain
-    // some of the operations and rerun").
-    let mut attempts: Vec<bool> = vec![false];
-    if opts.reassign {
-        attempts.insert(0, true);
-    }
-    let holdable = mcs_sched::feedback_consumers(cdfg);
-    let mut best: Option<(Schedule, BusPolicy)> = None;
-    let mut last_err = SchedError::StepLimit;
-    let sched_phase = recorder.phase("schedule");
-    let sched_span = opts.metrics.span("schedule");
-    for &reassign in &attempts {
-        for hold in [0i64, 2, 4, 6, 8] {
-            let mut lc = ListConfig::new(opts.rate);
-            lc.recorder = recorder.clone();
-            lc.metrics = opts.metrics.clone();
-            lc.budget = opts.budget.clone();
-            for &op in &holdable {
-                lc.hold_back.insert(op, hold);
-            }
-            let mut policy = BusPolicy::new(ic.clone(), opts.rate, reassign);
-            policy.set_recorder(recorder.clone());
-            policy.set_metrics(&opts.metrics);
-            match list_schedule(cdfg, &lc, &mut policy) {
-                Ok(s) => {
-                    let better = best
-                        .as_ref()
-                        .is_none_or(|(b, _)| s.pipe_length(cdfg) < b.pipe_length(cdfg));
-                    if better {
-                        best = Some((s, policy));
-                    }
-                    break; // larger holds only lengthen this variant
-                }
-                Err(e) => {
-                    let retryable = matches!(
-                        e,
-                        SchedError::DeadlineMissed { .. } | SchedError::NoWindowSlot { .. }
-                    ) && !holdable.is_empty();
-                    last_err = e;
-                    if !retryable {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    drop(sched_span);
-    drop(sched_phase);
-    let (schedule, policy) = best.ok_or_else(|| FlowError::from(last_err))?;
+    let (schedule, policy) = schedule_ladder(
+        cdfg,
+        opts.rate,
+        &ic,
+        opts.reassign,
+        opts.budget.as_ref(),
+        recorder,
+        &opts.metrics,
+    )?;
     let violations = validate(cdfg, &schedule);
     if !violations.is_empty() {
         return Err(FlowError::InvalidSchedule(violations));
@@ -889,6 +844,70 @@ fn connect_first_schedule(
     }
     record_pin_budget(cdfg, &result, recorder, &opts.metrics);
     Ok(result)
+}
+
+/// Bus-slot list scheduling over a fixed interconnect with the
+/// connect-first retry ladder, under one `schedule` phase and span.
+///
+/// With `reassign`, dynamic allocation is an *addition* to static
+/// allocation: both run and the shorter schedule wins, so enabling
+/// reassignment can only help — the relation the paper's Tables
+/// 4.2/4.10 report. When a composite maximum time constraint proves too
+/// tight, the consumers of feedback transfers are held back a few steps
+/// and the run repeated (the paper's "constrain some of the operations
+/// and rerun"). Returns the last scheduling error when no attempt
+/// succeeds.
+pub(crate) fn schedule_ladder(
+    cdfg: &Cdfg,
+    rate: u32,
+    ic: &Interconnect,
+    reassign: bool,
+    budget: Option<&Budget>,
+    recorder: &RecorderHandle,
+    metrics: &MetricsHandle,
+) -> Result<(Schedule, BusPolicy), SchedError> {
+    let attempts: &[bool] = if reassign { &[true, false] } else { &[false] };
+    let holdable = mcs_sched::feedback_consumers(cdfg);
+    let mut best: Option<(Schedule, BusPolicy)> = None;
+    let mut last_err = SchedError::StepLimit;
+    let _phase = recorder.phase("schedule");
+    let _span = metrics.span("schedule");
+    for &reassign in attempts {
+        for hold in [0i64, 2, 4, 6, 8] {
+            let mut lc = ListConfig::new(rate);
+            lc.recorder = recorder.clone();
+            lc.metrics = metrics.clone();
+            lc.budget = budget.cloned();
+            for &op in &holdable {
+                lc.hold_back.insert(op, hold);
+            }
+            let mut policy = BusPolicy::new(ic.clone(), rate, reassign);
+            policy.set_recorder(recorder.clone());
+            policy.set_metrics(metrics);
+            match list_schedule(cdfg, &lc, &mut policy) {
+                Ok(s) => {
+                    let better = best
+                        .as_ref()
+                        .is_none_or(|(b, _)| s.pipe_length(cdfg) < b.pipe_length(cdfg));
+                    if better {
+                        best = Some((s, policy));
+                    }
+                    break; // larger holds only lengthen this variant
+                }
+                Err(e) => {
+                    let retryable = matches!(
+                        e,
+                        SchedError::DeadlineMissed { .. } | SchedError::NoWindowSlot { .. }
+                    ) && !holdable.is_empty();
+                    last_err = e;
+                    if !retryable {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    best.ok_or(last_err)
 }
 
 /// The schedule-first flow's body. Trace and metrics: a `schedule`

@@ -44,10 +44,11 @@ use mcs_metrics::MetricsHandle;
 use mcs_obs::RecorderHandle;
 use mcs_pinalloc::PinChecker;
 use mcs_postsyn::verify_against_schedule;
-use mcs_sched::{list_schedule, validate, BusPolicy, ListConfig, Schedule, SlotPlacement};
+use mcs_sched::{validate, Schedule, SlotPlacement};
 
 use crate::flows::{
-    synthesize, ConnectFirstOptions, FlowError, FlowSpec, Run, SimpleOptions, SynthesisResult,
+    schedule_ladder, synthesize, ConnectFirstOptions, FlowError, FlowSpec, Run, SimpleOptions,
+    SynthesisResult,
 };
 
 /// Which rung of the resynthesis ladder produced the result.
@@ -407,7 +408,8 @@ fn try_patched(
         stats.reused_schedule = true;
         return Some(result);
     }
-    let (schedule, policy) = schedule_ladder(cdfg, rate, &ic, recorder, metrics)?;
+    let (schedule, policy) =
+        schedule_ladder(cdfg, rate, &ic, true, None, recorder, metrics).ok()?;
     if !validate(cdfg, &schedule).is_empty() {
         return None;
     }
@@ -582,59 +584,6 @@ fn place_dirty(
         stats.rollbacks += 1;
     }
     false
-}
-
-/// Bus-slot list scheduling over a fixed interconnect, mirroring the
-/// connect-first flow's retry ladder (dynamic reassignment preferred,
-/// feedback consumers held back on deadline misses).
-fn schedule_ladder(
-    cdfg: &Cdfg,
-    rate: u32,
-    ic: &Interconnect,
-    recorder: &RecorderHandle,
-    metrics: &MetricsHandle,
-) -> Option<(Schedule, BusPolicy)> {
-    let holdable = mcs_sched::feedback_consumers(cdfg);
-    let mut best: Option<(Schedule, BusPolicy)> = None;
-    let sched_phase = recorder.phase("schedule");
-    let sched_span = metrics.span("schedule");
-    for reassign in [true, false] {
-        for hold in [0i64, 2, 4, 6, 8] {
-            let mut lc = ListConfig::new(rate);
-            lc.recorder = recorder.clone();
-            lc.metrics = metrics.clone();
-            for &op in &holdable {
-                lc.hold_back.insert(op, hold);
-            }
-            let mut policy = BusPolicy::new(ic.clone(), rate, reassign);
-            policy.set_recorder(recorder.clone());
-            policy.set_metrics(metrics);
-            match list_schedule(cdfg, &lc, &mut policy) {
-                Ok(s) => {
-                    let better = best
-                        .as_ref()
-                        .is_none_or(|(b, _)| s.pipe_length(cdfg) < b.pipe_length(cdfg));
-                    if better {
-                        best = Some((s, policy));
-                    }
-                    break; // larger holds only lengthen this variant
-                }
-                Err(e) => {
-                    let retryable = matches!(
-                        e,
-                        mcs_sched::SchedError::DeadlineMissed { .. }
-                            | mcs_sched::SchedError::NoWindowSlot { .. }
-                    ) && !holdable.is_empty();
-                    if !retryable {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    drop(sched_span);
-    drop(sched_phase);
-    best
 }
 
 /// One side-by-side run of the incremental ladder and the cold path.
@@ -845,7 +794,8 @@ fn write_ports(s: &mut String, ports: &BTreeMap<PartitionId, u32>) {
 /// A human-readable description of the first malformed construct,
 /// including integers that do not fit their field and bus references
 /// (assignment and placement rows) that name no saved bus or a sub-bus
-/// range outside it.
+/// range outside it, and sub-bus or port widths that overflow `u32`
+/// when summed.
 pub fn result_from_json(text: &str) -> Result<SavedResult, String> {
     let v = json::parse(text)?;
     let design_digest = int(field(&v, "design")?)?;
@@ -869,18 +819,38 @@ pub fn result_from_json(text: &str) -> Result<SavedResult, String> {
     };
     let buses = array(field(&v, "buses")?)?
         .iter()
-        .map(|b| {
+        .enumerate()
+        .map(|(i, b)| {
+            let sub_widths: Vec<u32> = array(field(b, "widths")?)?
+                .iter()
+                .map(int)
+                .collect::<Result<_, String>>()?;
+            // Bus widths are summed as u32 wherever a range is measured.
+            if sub_widths
+                .iter()
+                .try_fold(0u32, |sum, &w| sum.checked_add(w))
+                .is_none()
+            {
+                return Err(format!("bus {i}'s sub-bus widths overflow u32 when summed"));
+            }
             Ok(Bus {
                 out_ports: read_ports(field(b, "out")?)?,
                 in_ports: read_ports(field(b, "in")?)?,
                 bi_ports: read_ports(field(b, "bi")?)?,
-                sub_widths: array(field(b, "widths")?)?
-                    .iter()
-                    .map(int)
-                    .collect::<Result<Vec<_>, String>>()?,
+                sub_widths,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
+    // Pins are summed per chip over every port of every bus.
+    let mut pins: BTreeMap<PartitionId, u32> = BTreeMap::new();
+    for b in &buses {
+        for (&chip, &n) in b.out_ports.iter().chain(&b.in_ports).chain(&b.bi_ports) {
+            let total = pins.entry(chip).or_insert(0);
+            *total = total
+                .checked_add(n)
+                .ok_or_else(|| format!("{chip}'s port widths overflow u32 when summed"))?;
+        }
+    }
     // A bus reference must name a saved bus and a sub-bus range inside
     // it; the verifier and scheduler index by both without checking.
     let carrier = |bus: &Json, lo: &Json, hi: &Json| -> Result<(BusId, SubRange), String> {
@@ -1088,6 +1058,40 @@ mod tests {
             let err = result_from_json(&bad).unwrap_err();
             assert!(err.contains(needle), "{anchor}[{nth}] = {value} -> `{err}`");
         }
+    }
+
+    #[test]
+    fn oversized_sub_bus_widths_are_rejected() {
+        let d = elliptic::partitioned();
+        let r = connect_first_flow(d.cdfg(), &ConnectFirstOptions::new(6)).unwrap();
+        let text = result_to_json(design_digest(d.cdfg()), &r);
+        let mut bad = String::new();
+        let mut rest = text.as_str();
+        while let Some(at) = rest.find("\"widths\":[") {
+            let end = at + rest[at..].find(']').unwrap();
+            bad.push_str(&rest[..at]);
+            bad.push_str("\"widths\":[4294967295,2");
+            rest = &rest[end..];
+        }
+        bad.push_str(rest);
+        let err = result_from_json(&bad).unwrap_err();
+        assert!(err.contains("overflow u32"), "{err}");
+        // Widths that sum to exactly u32::MAX still load.
+        let edge = bad.replacen("[4294967295,2", "[4294967293,2", 1);
+        let err = result_from_json(&edge).unwrap_err();
+        assert!(err.contains("bus 1's"), "{err}");
+    }
+
+    #[test]
+    fn oversized_port_widths_are_rejected() {
+        let d = elliptic::partitioned();
+        let r = connect_first_flow(d.cdfg(), &ConnectFirstOptions::new(6)).unwrap();
+        let text = result_to_json(design_digest(d.cdfg()), &r);
+        // Bus 0's first output port: `[chip, count]`, count at index 1.
+        // The chip has ports on other buses too, so its total overflows.
+        let bad = patch(&text, "\"out\":", 1, "4294967295");
+        let err = result_from_json(&bad).unwrap_err();
+        assert!(err.contains("port widths overflow u32"), "{err}");
     }
 
     #[test]

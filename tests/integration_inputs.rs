@@ -2,7 +2,10 @@
 //! text, `DesignDelta` specs, serve wire requests, saved results,
 //! imported metrics snapshots and raw JSON. Each mutated input goes
 //! through every reader, and each reader must return `Ok` or `Err` —
-//! never panic, never overflow the stack.
+//! never panic, never overflow the stack. Whatever a reader accepts is
+//! then driven past it: a saved result through `resynth_flow` on its
+//! design under a fixed set of edits, a delta through
+//! `DesignDelta::apply` on every named design, with the same rule.
 //!
 //! Seeds are the shipped designs, the fuzz corpus, the committed BENCH
 //! lines, real saved results and metrics snapshots, a few delta specs
@@ -17,14 +20,14 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use mcs_cdfg::delta::DesignDelta;
-use mcs_cdfg::designs::{ar_filter, elliptic};
+use mcs_cdfg::designs::{ar_filter, elliptic, Design};
 use mcs_cdfg::format;
 use mcs_cdfg::fuzz::design_digest;
 use mcs_ctl::json::{self, MAX_DEPTH};
 use mcs_metrics::{export as metrics_export, MetricsHandle, Registry};
 use mcs_serve::proto::parse_request;
 use multichip_hls::flows::{connect_first_flow, simple_flow, ConnectFirstOptions};
-use multichip_hls::resynth::{result_from_json, result_to_json};
+use multichip_hls::resynth::{result_from_json, result_to_json, resynth_flow};
 
 fn repo() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -61,6 +64,25 @@ fn metrics_sample() -> String {
     metrics_export::to_json(&reg.snapshot())
 }
 
+/// The designs the saved-result seeds come from, each with the edits a
+/// mutated saved result is replayed under: a rate change, a transfer
+/// narrowing and a chip-local widening.
+fn designs() -> &'static [(Design, [&'static str; 3])] {
+    static DESIGNS: OnceLock<Vec<(Design, [&'static str; 3])>> = OnceLock::new();
+    DESIGNS.get_or_init(|| {
+        vec![
+            (
+                ar_filter::simple(),
+                ["rate:3", "width:b2s=7", "width:m1=16"],
+            ),
+            (
+                elliptic::partitioned(),
+                ["rate:7", "width:e2=15", "width:a1=8"],
+            ),
+        ]
+    })
+}
+
 /// The seed inputs, built once.
 fn seeds() -> &'static [String] {
     static SEEDS: OnceLock<Vec<String>> = OnceLock::new();
@@ -74,10 +96,11 @@ fn seeds() -> &'static [String] {
                 .expect("committed BENCH file");
             seeds.extend(text.lines().map(str::to_string));
         }
-        let ar = ar_filter::simple();
+        let [(ar, _), (ell, _)] = designs() else {
+            unreachable!("two designs")
+        };
         let ar_result = simple_flow(ar.cdfg(), 2).expect("the chapter 3 experiment succeeds");
         let ar_saved = result_to_json(design_digest(ar.cdfg()), &ar_result);
-        let ell = elliptic::partitioned();
         let ell_result = connect_first_flow(ell.cdfg(), &ConnectFirstOptions::new(6))
             .expect("the elliptic benchmark synthesizes at rate 6");
         let ell_saved = result_to_json(design_digest(ell.cdfg()), &ell_result);
@@ -197,6 +220,35 @@ fn panicking_reader(text: &str) -> Option<&'static str> {
         .map(|(name, _)| name)
 }
 
+/// Drives what the readers accept past them. A saved result runs
+/// through `resynth_flow` under its design's edits, on the design its
+/// seed was synthesized from (`seed`, before mutation); a delta is
+/// applied to every design. Names the first consumer that panicked.
+fn panicking_consumer(seed: &str, text: &str) -> Option<String> {
+    let panics = |run: &dyn Fn()| catch_unwind(AssertUnwindSafe(run)).is_err();
+    if let (Ok(saved), Ok(origin)) = (result_from_json(text), result_from_json(seed)) {
+        let home = designs()
+            .iter()
+            .find(|(d, _)| design_digest(d.cdfg()) == origin.design_digest);
+        if let Some((design, edits)) = home {
+            for edit in edits {
+                let delta = DesignDelta::parse(edit).expect("fixed edits parse");
+                if panics(&|| drop(resynth_flow(design.cdfg(), &saved.result, &delta))) {
+                    return Some(format!("resynth_flow under `{edit}`"));
+                }
+            }
+        }
+    }
+    if let Ok(delta) = DesignDelta::parse(text) {
+        for (design, _) in designs() {
+            if panics(&|| drop(delta.apply(design.cdfg()))) {
+                return Some(format!("DesignDelta::apply on {}", design.name()));
+            }
+        }
+    }
+    None
+}
+
 /// Every seed is accepted by the reader it was written for, so the
 /// mutations start from inputs that reach deep into each reader.
 #[test]
@@ -230,12 +282,15 @@ proptest! {
         mutations in prop::collection::vec((any::<u32>(), 0u8..6, any::<u8>()), 1..8),
     ) {
         let seeds = seeds();
-        let mut bytes = seeds[pick as usize % seeds.len()].clone().into_bytes();
+        let seed = &seeds[pick as usize % seeds.len()];
+        let mut bytes = seed.clone().into_bytes();
         for &m in &mutations {
             mutate(&mut bytes, m);
         }
         let text = String::from_utf8_lossy(&bytes);
         let panicked = panicking_reader(&text);
+        prop_assert!(panicked.is_none(), "{panicked:?} panicked on {text:?}");
+        let panicked = panicking_consumer(seed, &text);
         prop_assert!(panicked.is_none(), "{panicked:?} panicked on {text:?}");
     }
 }

@@ -319,3 +319,51 @@ fn saved_result_with_an_unknown_bus_is_refused_not_a_panic() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A saved result whose sub-bus widths overflow `u32` when summed used to
+/// reach `Bus::range_width` (an overflow panic in a debug build, a silent
+/// wrap in release) or pass through the `identical` rung as verified.
+/// The reader now refuses it: the CLI exits 1 for every edit and
+/// `mcs-serve` answers `bad-request`.
+#[test]
+fn saved_result_with_oversized_sub_bus_widths_is_refused_not_a_panic() {
+    let dir = std::env::temp_dir().join("mcs_resynth_wide_bus_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let saved_path = dir
+        .join("elliptic.result.json")
+        .to_string_lossy()
+        .into_owned();
+    let ell = example("benchmarks/elliptic.mcs");
+    let (ok, _, stderr) = run_cli(&["synth", &ell, "--rate", "6", "--out-result", &saved_path]);
+    assert!(ok, "{stderr}");
+
+    // Every bus's `widths` becomes `[u32::MAX, 2]`.
+    let text = std::fs::read_to_string(&saved_path).unwrap();
+    let mut parts = text.split("\"widths\":[");
+    let mut bad = parts.next().unwrap().to_string();
+    for part in parts {
+        let (_, rest) = part.split_once(']').unwrap();
+        bad.push_str(&format!("\"widths\":[4294967295,2]{rest}"));
+    }
+    std::fs::write(&saved_path, &bad).unwrap();
+
+    for edit in ["width:e2=15", "rate:7", "width:a1=8"] {
+        let out = Command::new(BIN)
+            .args(["resynth", &ell, "--prev", &saved_path, "--edit", edit])
+            .output()
+            .expect("mcs-hls binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{edit}: {stderr}");
+        assert!(stderr.contains("overflow u32"), "{edit}: {stderr}");
+    }
+
+    let server = Server::new(ServeConfig::default());
+    let response = server.handle_line(&format!(
+        "{{\"cmd\":\"resynth\",\"design\":\"{}\",\"prev\":\"{}\",\"edit\":\"rate:7\"}}",
+        escape(&std::fs::read_to_string(&ell).unwrap()),
+        escape(&bad)
+    ));
+    assert!(response.contains("\"kind\":\"bad-request\""), "{response}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
